@@ -35,7 +35,7 @@ fn main() {
             budget: TrialBudget::fixed(1),
         });
     }
-    let result = args.engine().run(&study, &spec);
+    let result = args.run(&study, &spec);
 
     println!(
         "{:<16} {:>10} {:>10} {:>12} {:>10}  output error metric",

@@ -20,7 +20,7 @@ pub mod asm_cli;
 pub mod lint;
 pub mod perf;
 
-use sfi_campaign::CampaignEngine;
+use sfi_campaign::{checkpoint, CampaignEngine, CampaignResult, CampaignSpec};
 use sfi_core::study::{CaseStudy, CaseStudyConfig};
 
 /// Command-line options shared by all experiment binaries.
@@ -137,17 +137,23 @@ impl ExperimentArgs {
         Ok(args)
     }
 
-    /// Builds the campaign engine matching the requested parallelism and
-    /// checkpointing.
+    /// Builds the campaign engine matching the requested parallelism.
     pub fn engine(&self) -> CampaignEngine {
         let mut engine = CampaignEngine::new();
         if let Some(threads) = self.threads {
             engine = engine.with_threads(threads);
         }
-        if let Some(path) = &self.checkpoint {
-            engine = engine.with_checkpoint(path);
-        }
         engine
+    }
+
+    /// Runs `spec` on [`ExperimentArgs::engine`], resuming from and
+    /// checkpointing to the `--checkpoint` file when one is given.
+    pub fn run(&self, study: &CaseStudy, spec: &CampaignSpec) -> CampaignResult {
+        let engine = self.engine();
+        match &self.checkpoint {
+            Some(path) => checkpoint::run_resumable(&engine, study, spec, path),
+            None => engine.run(study, spec),
+        }
     }
 
     /// Builds the case study matching the requested fidelity.

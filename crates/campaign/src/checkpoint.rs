@@ -7,18 +7,25 @@
 //! a checkpoint of a different or edited spec is ignored rather than
 //! silently mixed into fresh results.
 //!
+//! [`run_resumable`] is a plain caller of the engine's resume seam: the
+//! file's cells go in through [`CampaignEngine::with_seed_cells`] and
+//! finished cells come back out through
+//! [`CampaignEngine::with_progress`].
+//!
 //! Trials are stored as compact arrays
 //! `[finished, correct, output_error, fi_rate_per_kcycle, cycles]`, with
 //! NaN (the output error of crashed runs) encoded as `null`.
 
-use crate::engine::{CampaignResult, CellResult};
+use crate::engine::{CampaignEngine, CampaignResult, CellResult, ProgressHook};
 use crate::json::Json;
 use crate::spec::CampaignSpec;
 use crate::stats::CellStats;
-use sfi_core::TrialResult;
+use sfi_core::{CaseStudy, TrialResult};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 /// Current checkpoint format version.
 pub const FORMAT_VERSION: u64 = 1;
@@ -94,20 +101,11 @@ pub fn document(spec: &CampaignSpec, fingerprint: u64, cells: &[CellResult]) -> 
     ])
 }
 
-/// Serializes one cell to its JSON string (the engine caches these so a
-/// checkpoint write encodes only the newly finished cell).
-pub(crate) fn cell_json_string(cell: &CellResult) -> String {
-    cell_to_json(cell).to_string()
-}
-
 /// Renders the full checkpoint document from already-serialized cell
-/// strings.  Byte-identical to `document(..).to_string()` — object keys in
-/// alphabetical order, matching the canonical `Json::Obj` writer.
-pub(crate) fn document_text<'a>(
-    spec: &CampaignSpec,
-    fingerprint: u64,
-    cells: impl Iterator<Item = &'a String>,
-) -> String {
+/// strings and the [`document_tail`].  Byte-identical to
+/// `document(..).to_string()` — object keys in alphabetical order,
+/// matching the canonical `Json::Obj` writer.
+fn document_text<'a>(cells: impl Iterator<Item = &'a String>, tail: &str) -> String {
     let mut out = String::from("{\"cells\":[");
     for (i, cell) in cells.enumerate() {
         if i > 0 {
@@ -115,18 +113,22 @@ pub(crate) fn document_text<'a>(
         }
         out.push_str(cell);
     }
-    out.push_str("],\"fingerprint\":");
-    out.push_str(&Json::Str(fingerprint.to_string()).to_string());
-    out.push_str(",\"name\":");
-    out.push_str(&Json::Str(spec.name.clone()).to_string());
-    out.push_str(",\"seed\":");
-    out.push_str(&Json::Str(spec.seed.to_string()).to_string());
-    out.push_str(",\"version\":1}");
+    out.push_str(tail);
     out
 }
 
+/// The part of the checkpoint document after the cell list.
+fn document_tail(spec: &CampaignSpec, fingerprint: u64) -> String {
+    format!(
+        "],\"fingerprint\":{},\"name\":{},\"seed\":{},\"version\":{FORMAT_VERSION}}}",
+        Json::Str(fingerprint.to_string()),
+        Json::Str(spec.name.clone()),
+        Json::Str(spec.seed.to_string()),
+    )
+}
+
 /// Atomically writes `text` to `path` (temp file + rename).
-pub(crate) fn store_text(path: &Path, text: &str) -> io::Result<()> {
+fn store_text(path: &Path, text: &str) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     fs::write(&tmp, text)?;
     fs::rename(&tmp, path)
@@ -142,43 +144,80 @@ pub fn store_cells(
     store_text(path, &document(spec, fingerprint, cells).to_string())
 }
 
-/// Loads the checkpoint at `path`, returning per-cell restored results
-/// aligned with `spec.cells()`.
+/// Loads the cells the checkpoint at `path` holds for the spec with
+/// `fingerprint`, in file order.
 ///
 /// Missing files, malformed JSON, wrong versions and fingerprint
-/// mismatches all yield an all-`None` vector: resuming falls back to a
-/// fresh run instead of failing or mixing incompatible data.  Cells whose
-/// index is out of range for the spec are ignored.
-pub fn load_cells(path: &Path, spec: &CampaignSpec, fingerprint: u64) -> Vec<Option<CellResult>> {
-    let mut restored = vec![None; spec.cells().len()];
-    let Ok(text) = fs::read_to_string(path) else {
-        return restored;
+/// mismatches all yield no cells: resuming falls back to a fresh run
+/// instead of failing or mixing incompatible data.  The cells are not
+/// checked against the spec; [`CampaignEngine::with_seed_cells`] does
+/// that for every seed.
+pub fn load_cells(path: &Path, fingerprint: u64) -> Vec<CellResult> {
+    let Some(doc) = fs::read_to_string(path)
+        .ok()
+        .and_then(|text| Json::parse(&text).ok())
+    else {
+        return Vec::new();
     };
-    let Ok(doc) = Json::parse(&text) else {
-        return restored;
-    };
-    if doc.get("version").and_then(Json::as_u64) != Some(FORMAT_VERSION) {
-        return restored;
+    if doc.get("version").and_then(Json::as_u64) != Some(FORMAT_VERSION)
+        || doc.get("fingerprint").and_then(Json::as_u64) != Some(fingerprint)
+    {
+        return Vec::new();
     }
-    if doc.get("fingerprint").and_then(Json::as_u64) != Some(fingerprint) {
-        return restored;
-    }
-    let Some(cells) = doc.get("cells").and_then(Json::as_arr) else {
-        return restored;
-    };
-    for value in cells {
-        if let Some(cell) = cell_from_json(value) {
-            // Only accept cells that fit the spec's budget; a truncated or
-            // hand-edited file must not inject impossible states.
-            if let Some(slot) = restored.get_mut(cell.cell) {
-                let budget = spec.cells()[cell.cell].budget;
-                if !cell.trials.is_empty() && cell.trials.len() <= budget.max_trials {
-                    *slot = Some(cell);
-                }
+    doc.get("cells")
+        .and_then(Json::as_arr)
+        .map(|cells| cells.iter().filter_map(cell_from_json).collect())
+        .unwrap_or_default()
+}
+
+/// Runs `spec` on `engine`, resuming from and checkpointing to `path`.
+///
+/// The cells `path` holds for this exact spec become the run's seeds
+/// (replacing any the engine carried) instead of being re-simulated, and
+/// every cell that finishes simulating rewrites `path` atomically.  A
+/// progress hook installed on `engine` still sees every cell, after the
+/// write.
+///
+/// Checkpoint I/O errors are non-fatal (reported on stderr): a lost
+/// checkpoint must not kill a multi-hour campaign, so there is no
+/// `Result` here.
+pub fn run_resumable(
+    engine: &CampaignEngine,
+    study: &CaseStudy,
+    spec: &CampaignSpec,
+    path: impl AsRef<Path>,
+) -> CampaignResult {
+    let path = path.as_ref().to_path_buf();
+    let fingerprint = spec.fingerprint();
+    let seeds = load_cells(&path, fingerprint);
+    let tail = document_tail(spec, fingerprint);
+    // Serialized JSON of every completed cell, keyed by cell index: a
+    // finishing cell is encoded once and the document re-rendered from
+    // this cache, so a write costs O(cell) encoding plus one file write.
+    // The mutex also serializes the writes themselves.
+    let encoded: Mutex<BTreeMap<usize, String>> = Mutex::default();
+    let observer = engine.progress.clone();
+    let hook: ProgressHook = Arc::new(move |cell: &CellResult| {
+        let mut cells = encoded.lock().expect("checkpoint lock");
+        cells.insert(cell.cell, cell_to_json(cell).to_string());
+        // Restored cells are in the file already.
+        if !cell.from_checkpoint {
+            match store_text(&path, &document_text(cells.values(), &tail)) {
+                Ok(()) => sfi_obs::metrics().engine_checkpoint_writes.inc(),
+                // Non-fatal: a lost checkpoint must not kill the campaign.
+                Err(err) => eprintln!("warning: failed to write campaign checkpoint: {err}"),
             }
         }
-    }
-    restored
+        drop(cells);
+        if let Some(observer) = &observer {
+            observer(cell);
+        }
+    });
+    engine
+        .clone()
+        .with_seed_cells(seeds)
+        .with_progress(hook)
+        .run(study, spec)
 }
 
 impl CampaignResult {
@@ -266,8 +305,8 @@ mod tests {
             },
         ];
         let one_shot = document(&spec, 0xDEAD_BEEF, &cells).to_string();
-        let encoded: Vec<String> = cells.iter().map(cell_json_string).collect();
-        let incremental = document_text(&spec, 0xDEAD_BEEF, encoded.iter());
+        let encoded: Vec<String> = cells.iter().map(|c| cell_to_json(c).to_string()).collect();
+        let incremental = document_text(encoded.iter(), &document_tail(&spec, 0xDEAD_BEEF));
         assert_eq!(incremental, one_shot);
     }
 }

@@ -2,6 +2,7 @@
 //! operating points with per-cell trial budgets.
 
 use crate::stats::CellStats;
+use sfi_core::cache::Fnv;
 use sfi_core::FaultModel;
 use sfi_fault::OperatingPoint;
 use sfi_kernels::Benchmark;
@@ -276,7 +277,7 @@ impl CampaignSpec {
     /// seed, benchmark names and every cell's parameters).  Checkpoints
     /// store it and refuse to resume a campaign whose spec changed.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv::default();
         h.bytes(self.name.as_bytes());
         h.u64(self.seed);
         h.u64(self.benchmarks.len() as u64);
@@ -317,29 +318,6 @@ impl CampaignSpec {
             }
         }
         h.finish()
-    }
-}
-
-/// FNV-1a, 64 bit.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -388,6 +366,17 @@ mod tests {
         assert_eq!(range, 0..3);
         assert_eq!(spec.cells()[2].point.freq_mhz(), 750.0);
         assert_eq!(spec.cells()[2].point.noise().sigma_mv(), 10.0);
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Characterization cache files, checkpoints and journal recovery
+        // are keyed by these values: a change orphans every one of them.
+        assert_eq!(
+            sfi_core::CaseStudyConfig::paper().fingerprint(),
+            0xfe56_9ca4_477a_d460
+        );
+        assert_eq!(spec_with_cells().fingerprint(), 0x5d40_de35_c411_1e9d);
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl CaseStudyConfig {
     /// field).  The characterization cache stores it and refuses to load a
     /// cache written for a different configuration.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv::default();
         h.u64(self.alu_width as u64);
         h.u64(self.target_fmax_mhz.to_bits());
         h.u64(self.nominal_vdd.to_bits());
@@ -197,21 +197,31 @@ pub fn load(dir: &Path, config: &CaseStudyConfig) -> Option<Vec<(f64, TimingChar
     Some(chars)
 }
 
-/// FNV-1a, 64 bit.
-struct Fnv(u64);
+/// FNV-1a, 64 bit: the hash behind every structural fingerprint (study
+/// configurations here, campaign specs in `sfi-campaign`).
+pub struct Fnv(u64);
 
-impl Fnv {
-    fn new() -> Self {
+impl Default for Fnv {
+    fn default() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
+}
 
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
+impl Fnv {
+    /// Hashes `bytes` into the state.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
         }
     }
 
-    fn finish(&self) -> u64 {
+    /// Hashes the little-endian bytes of `v` into the state.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
         self.0
     }
 }

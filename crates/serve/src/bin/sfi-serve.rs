@@ -28,7 +28,6 @@ options:
                              (0 or omitted = retain everything until shutdown)
   --cache-dir DIR            persistent characterization cache (restarts skip the DTA
                              rebuild)
-  --checkpoint-dir DIR       per-job campaign checkpoints (identical re-submissions resume)
   --state-dir DIR            durable job journal: every transition is fsync'd here, and a
                              restarted daemon replays it — queued jobs come back queued,
                              interrupted jobs resume from their completed cells with
@@ -126,9 +125,6 @@ fn main() {
                 config.result_cap_bytes = (n > 0).then_some(n);
             }
             "--cache-dir" => config.cache_dir = Some(PathBuf::from(value(&mut i, "--cache-dir"))),
-            "--checkpoint-dir" => {
-                config.checkpoint_dir = Some(PathBuf::from(value(&mut i, "--checkpoint-dir")))
-            }
             "--state-dir" => config.state_dir = Some(PathBuf::from(value(&mut i, "--state-dir"))),
             "--drain-timeout" => {
                 config.drain_timeout_seconds = nonnegative(&argv, &mut i, "--drain-timeout")

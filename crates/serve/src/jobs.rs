@@ -49,7 +49,6 @@ use sfi_obs::clock;
 use sfi_obs::Event;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -879,9 +878,6 @@ pub struct SchedulerConfig {
     /// Maximum number of jobs running at once; each gets an equal share
     /// of the thread budget (at least one thread).
     pub max_concurrent_jobs: usize,
-    /// Directory for per-job campaign checkpoints; identical re-submitted
-    /// campaigns resume instead of recomputing.
-    pub checkpoint_dir: Option<PathBuf>,
 }
 
 impl Default for SchedulerConfig {
@@ -889,7 +885,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             threads: None,
             max_concurrent_jobs: 1,
-            checkpoint_dir: None,
         }
     }
 }
@@ -1107,39 +1102,35 @@ fn run_job(
     cancel: Arc<AtomicBool>,
     seeds: Vec<CellResult>,
 ) {
-    let mut engine = CampaignEngine::new()
+    let hook_table = table.clone();
+    let engine = CampaignEngine::new()
         .with_threads(config.threads_per_job())
         .with_cancel(cancel)
         .with_seed_cells(seeds)
-        .with_trace_job(id);
-    if let Some(dir) = &config.checkpoint_dir {
-        let _ = std::fs::create_dir_all(dir);
-        engine = engine.with_checkpoint(dir.join(format!("job-{:016x}.json", spec.fingerprint())));
-    }
-    let hook_table = table.clone();
-    let engine = engine.with_progress(Arc::new(move |cell: &CellResult| {
-        let mut journal_doc = None;
-        {
-            let mut inner = hook_table.lock();
-            if let Some(entry) = inner.jobs.get_mut(&id) {
-                // Seeded (and checkpoint-restored) cells the client
-                // already streamed are announced again on resume;
-                // `seen_cells` keeps every cell exactly once in the
-                // stream (and exactly once in the journal).
-                if entry.seen_cells.insert(cell.cell) {
-                    let doc = checkpoint::cell_to_json(cell);
-                    journal_doc = Some(doc.clone());
-                    entry.cells.push(doc);
+        .with_trace_job(id)
+        .with_progress(Arc::new(move |cell: &CellResult| {
+            let mut journal_doc = None;
+            {
+                let mut inner = hook_table.lock();
+                if let Some(entry) = inner.jobs.get_mut(&id) {
+                    // Seeded cells the client already streamed are
+                    // announced again on resume;
+                    // `seen_cells` keeps every cell exactly once in the
+                    // stream (and exactly once in the journal).
+                    if entry.seen_cells.insert(cell.cell) {
+                        let doc = checkpoint::cell_to_json(cell);
+                        journal_doc = Some(doc.clone());
+                        entry.cells.push(doc);
+                    }
                 }
+                hook_table.update.notify_all();
             }
-            hook_table.update.notify_all();
-        }
-        // The fsync happens outside the table lock: a slow disk must not
-        // stall status/stream handlers.
-        if let (Some(journal), Some(doc)) = (hook_table.journal(), journal_doc) {
-            journal.append_best_effort(&crate::journal::cell_record(id, &doc));
-        }
-    }));
+            // The fsync happens outside the table lock: a slow disk must not
+            // stall status/stream handlers.
+            if let (Some(journal), Some(doc)) = (hook_table.journal(), journal_doc) {
+                journal.append_best_effort(&crate::journal::cell_record(id, &doc));
+            }
+        }));
 
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| engine.run(study, &spec)));
     let mut inner = table.lock();
@@ -1461,6 +1452,42 @@ mod tests {
             .submit_keyed(tiny_spec("a"), Priority::Normal, "alice", Some("k1"), None)
             .expect("deduplicates");
         assert_eq!(deduped, 5);
+    }
+
+    #[test]
+    fn terminal_jobs_restore_the_same_status_before_and_after_compaction() {
+        use crate::journal::{
+            cell_record, compaction_records, done_record, preempt_record, recover, start_record,
+            submit_record,
+        };
+        let cell = Json::obj([
+            ("cell", Json::Num(0.0)),
+            ("trials", Json::Arr(vec![Json::Arr(Vec::new())])),
+        ]);
+        let records = vec![
+            submit_record(3, &Json::obj([]), Priority::Normal, "alice", None),
+            start_record(3),
+            cell_record(3, &cell),
+            preempt_record(3),
+            done_record(3, "done", None),
+        ];
+        let raw = recover(&records);
+        let compacted = recover(&compaction_records(&raw));
+        let statuses: Vec<JobStatus> = [raw, compacted]
+            .into_iter()
+            .map(|jobs| {
+                let table = JobTable::new();
+                for job in jobs {
+                    table.restore(job, None);
+                }
+                table.status(3).expect("restored")
+            })
+            .collect();
+        assert_eq!(statuses[0], statuses[1]);
+        assert_eq!(statuses[0].state, JobState::Done);
+        assert_eq!(statuses[0].completed_cells, 0, "no cells outside the cap");
+        assert_eq!(statuses[0].executed_trials, 0);
+        assert_eq!(statuses[0].preemptions, 1);
     }
 
     #[test]

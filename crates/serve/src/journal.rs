@@ -31,7 +31,7 @@
 
 use crate::jobs::Priority;
 use sfi_core::json::Json;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -310,7 +310,8 @@ pub struct RecoveredJob {
     /// The idempotency key the submit carried, if any.
     pub idempotency_key: Option<String>,
     /// Completed cells (checkpoint cell format), deduplicated by cell
-    /// index, journal order.  Seeds for the resumed run.
+    /// index, journal order.  Seeds for the resumed run; empty once the
+    /// job is terminal.
     pub cells: Vec<Json>,
     /// Cooperative preemptions the job had accumulated.
     pub preemptions: u64,
@@ -328,7 +329,7 @@ pub struct RecoveredJob {
 /// such orphans, and the un-acknowledged client will simply resubmit.
 pub fn recover(records: &[Json]) -> Vec<RecoveredJob> {
     let mut jobs: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
-    let mut seen_cells: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    let mut seen_cells: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
     for record in records {
         let kind = record.get("kind").and_then(Json::as_str).unwrap_or("");
         let Some(id) = record.get("job").and_then(Json::as_u64) else {
@@ -369,9 +370,7 @@ pub fn recover(records: &[Json]) -> Vec<RecoveredJob> {
                     continue;
                 };
                 let index = cell.get("cell").and_then(Json::as_u64).unwrap_or(u64::MAX);
-                let seen = seen_cells.entry(id).or_default();
-                if !seen.contains(&index) {
-                    seen.push(index);
+                if seen_cells.entry(id).or_default().insert(index) {
                     job.cells.push(cell.clone());
                 }
             }
@@ -382,6 +381,9 @@ pub fn recover(records: &[Json]) -> Vec<RecoveredJob> {
             }
             "done" => {
                 if let Some(job) = jobs.get_mut(&id) {
+                    // A finished job's cells are no resume seed any more;
+                    // like an evicted result, nothing can fetch them.
+                    job.cells = Vec::new();
                     job.terminal = Some((
                         record
                             .get("state")
@@ -405,8 +407,8 @@ pub fn recover(records: &[Json]) -> Vec<RecoveredJob> {
 }
 
 /// The compacted journal records equivalent to `jobs`: one `submit` per
-/// job, its `cell` records for live jobs, and the `done` record for
-/// terminal ones.
+/// job, its `start`, `preempt` and `cell` records, and the `done` record
+/// for terminal ones.
 pub fn compaction_records(jobs: &[RecoveredJob]) -> Vec<Json> {
     let mut records = Vec::new();
     for job in jobs {
@@ -417,21 +419,17 @@ pub fn compaction_records(jobs: &[RecoveredJob]) -> Vec<Json> {
             &job.client,
             job.idempotency_key.as_deref(),
         ));
-        match &job.terminal {
-            Some((state, error)) => {
-                records.push(done_record(job.id, state, error.as_deref()));
-            }
-            None => {
-                if job.started {
-                    records.push(start_record(job.id));
-                }
-                for _ in 0..job.preemptions {
-                    records.push(preempt_record(job.id));
-                }
-                for cell in &job.cells {
-                    records.push(cell_record(job.id, cell));
-                }
-            }
+        if job.started {
+            records.push(start_record(job.id));
+        }
+        for _ in 0..job.preemptions {
+            records.push(preempt_record(job.id));
+        }
+        for cell in &job.cells {
+            records.push(cell_record(job.id, cell));
+        }
+        if let Some((state, error)) = &job.terminal {
+            records.push(done_record(job.id, state, error.as_deref()));
         }
     }
     records

@@ -5,9 +5,9 @@
 //! and returns immediately; [`Server::join`] parks until a client sends
 //! `shutdown` (or [`Server::shutdown`] is called locally).  Shutdown is
 //! graceful: running jobs are cancelled at the next trial boundary, and
-//! because the engine checkpoints every completed cell as it finishes,
-//! all completed work is already flushed to disk by the time the process
-//! exits.
+//! because the scheduler journals every completed cell as it finishes
+//! (with a `state_dir`), all completed work is already on disk by the
+//! time the process exits.
 
 use crate::jobs::{self, JobTable, NextCell, ResultFetch, SchedulerConfig, TableLimits};
 use crate::metrics::{self, PrometheusListener};
@@ -51,8 +51,6 @@ pub struct ServeConfig {
     /// Persistent characterization cache directory; restarts with the
     /// same study configuration skip the gate-level DTA rebuild.
     pub cache_dir: Option<PathBuf>,
-    /// Per-job campaign checkpoint directory.
-    pub checkpoint_dir: Option<PathBuf>,
     /// Durable-state directory: every job transition is journaled here
     /// (fsync'd), and a restarted daemon replays the journal to restore
     /// queued jobs and resume interrupted ones (`None` = no journal).
@@ -98,7 +96,6 @@ impl Default for ServeConfig {
             max_running_per_client: None,
             result_cap_bytes: None,
             cache_dir: None,
-            checkpoint_dir: None,
             state_dir: None,
             drain_timeout_seconds: 30.0,
             conn_timeout_seconds: 300.0,
@@ -210,7 +207,6 @@ impl Server {
         let scheduler_config = SchedulerConfig {
             threads: config.threads,
             max_concurrent_jobs: config.max_concurrent_jobs.max(1),
-            checkpoint_dir: config.checkpoint_dir.clone(),
         };
         if !config.quiet {
             println!("sfi-serve listening on {addr}");

@@ -3,7 +3,8 @@
 //! resume and the adaptive PoFF search.
 
 use sfi_campaign::{
-    adaptive_poff, CampaignEngine, CampaignSpec, CellSpec, PoffSearch, StopRule, TrialBudget,
+    adaptive_poff, checkpoint, CampaignEngine, CampaignSpec, CellResult, CellSpec, CellStats,
+    PoffSearch, StopRule, TrialBudget,
 };
 use sfi_core::experiment::{run_experiment, FaultModel};
 use sfi_core::study::{CaseStudy, CaseStudyConfig};
@@ -238,14 +239,14 @@ fn checkpoint_resume_skips_completed_cells() {
     ));
     let _ = std::fs::remove_file(&path);
 
-    let engine = CampaignEngine::new().with_threads(4).with_checkpoint(&path);
-    let first = engine.run(&study, &spec);
+    let engine = CampaignEngine::new().with_threads(4);
+    let first = checkpoint::run_resumable(&engine, &study, &spec, &path);
     assert!(path.exists(), "the campaign must leave a checkpoint behind");
     assert!(first.metrics.executed_trials > 0);
     assert!(first.cells.iter().all(|c| !c.from_checkpoint));
 
     // Resuming the identical spec restores every cell without simulating.
-    let second = engine.run(&study, &spec);
+    let second = checkpoint::run_resumable(&engine, &study, &spec, &path);
     assert_eq!(
         second.metrics.executed_trials, 0,
         "everything comes from the checkpoint"
@@ -260,10 +261,12 @@ fn checkpoint_resume_skips_completed_cells() {
     // A different spec (changed seed) ignores the stale checkpoint.
     let mut changed = transition_spec(&study, 4);
     changed.seed = 43;
-    let third = CampaignEngine::new()
-        .with_threads(2)
-        .with_checkpoint(&path)
-        .run(&study, &changed);
+    let third = checkpoint::run_resumable(
+        &CampaignEngine::new().with_threads(2),
+        &study,
+        &changed,
+        &path,
+    );
     assert!(
         third.metrics.executed_trials > 0,
         "fingerprint mismatch forces a fresh run"
@@ -318,10 +321,12 @@ fn result_and_checkpoint_json_are_byte_identical_across_runs_and_threads() {
         let ckpt = tmp.join(format!("sfi_bitident_ckpt_{id}_{threads}.json"));
         let out = tmp.join(format!("sfi_bitident_result_{id}_{threads}.json"));
         let _ = std::fs::remove_file(&ckpt);
-        let result = CampaignEngine::new()
-            .with_threads(threads)
-            .with_checkpoint(&ckpt)
-            .run(&study, &spec);
+        let result = checkpoint::run_resumable(
+            &CampaignEngine::new().with_threads(threads),
+            &study,
+            &spec,
+            &ckpt,
+        );
         result.write_json(&spec, &out).expect("result export");
         documents.push(std::fs::read(&out).expect("result file"));
         checkpoints.push(std::fs::read(&ckpt).expect("checkpoint file"));
@@ -460,11 +465,10 @@ fn progress_hook_sees_every_cell_exactly_once() {
     let sink = seen.clone();
     let engine = CampaignEngine::new()
         .with_threads(4)
-        .with_checkpoint(&path)
         .with_progress(Arc::new(move |cell: &sfi_campaign::CellResult| {
             sink.lock().unwrap().push(cell.cell);
         }));
-    let first = engine.run(&study, &spec);
+    let first = checkpoint::run_resumable(&engine, &study, &spec, &path);
     assert!(!first.cancelled);
     let mut order = std::mem::take(&mut *seen.lock().unwrap());
     order.sort_unstable();
@@ -472,12 +476,49 @@ fn progress_hook_sees_every_cell_exactly_once() {
 
     // On resume the restored cells are announced up front, again exactly
     // once each.
-    let second = engine.run(&study, &spec);
+    let second = checkpoint::run_resumable(&engine, &study, &spec, &path);
     assert_eq!(second.metrics.executed_trials, 0);
     let mut order = std::mem::take(&mut *seen.lock().unwrap());
     order.sort_unstable();
     assert_eq!(order, vec![0, 1, 2, 3], "restored cells stream once");
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn invalid_seed_cells_are_ignored() {
+    // Seeds arrive from checkpoint files and journal replays, so the engine
+    // must not trust them: an out-of-range index, an empty cell and a cell
+    // over its budget's `max_trials` are all simulated instead.
+    let study = fast_study();
+    let spec = transition_spec(&study, 4);
+    let unseeded = CampaignEngine::new().with_threads(2).run(&study, &spec);
+    let trial = unseeded.cells[1].trials[0];
+    let seed = |cell: usize, trials: usize| CellResult {
+        cell,
+        trials: vec![trial; trials],
+        stats: CellStats::from_trials(&vec![trial; trials]),
+        stopped_early: false,
+        from_checkpoint: true,
+    };
+    let max_trials = spec.cells()[1].budget.max_trials;
+    let seeded = CampaignEngine::new()
+        .with_threads(2)
+        .with_seed_cells(vec![
+            seed(spec.cells().len(), 1),
+            seed(0, 0),
+            seed(1, max_trials + 1),
+        ])
+        .run(&study, &spec);
+    assert_eq!(
+        seeded.metrics.executed_trials,
+        unseeded.metrics.executed_trials
+    );
+    assert!(seeded.cells.iter().all(|c| !c.from_checkpoint));
+    assert_eq!(
+        seeded.to_json(&spec).to_string(),
+        unseeded.to_json(&spec).to_string(),
+        "ignored seeds must leave the result document byte-identical"
+    );
 }
 
 #[test]
