@@ -1,6 +1,7 @@
 //! Criterion benches of the simulation substrates: gate-level DTA
-//! throughput, STA, ISS execution speed, and the model-C injector
-//! (construction and per-cycle injection over the flattened fault table).
+//! throughput, STA, ISS execution speed, the model-C injector
+//! (construction and per-cycle injection over the flattened fault table)
+//! and the model-B+ injector's per-cycle injection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sfi_core::study::{CaseStudy, CaseStudyConfig};
@@ -41,21 +42,29 @@ fn bench_sta(c: &mut Criterion) {
 }
 
 fn bench_iss(c: &mut Criterion) {
+    // Building and initialising the core is untimed setup: the benches
+    // measure the interpreter alone.
     let bench = MedianBenchmark::new(21, 1);
     c.bench_function("iss_median_21_fault_free", |b| {
-        b.iter(|| {
-            let mut core = Core::new(bench.program().clone(), bench.dmem_words());
-            bench.initialize(core.memory_mut());
-            core.run(&RunConfig::default())
-        })
+        b.iter_batched(
+            || {
+                let mut core = Core::new(bench.program().clone(), bench.dmem_words());
+                bench.initialize(core.memory_mut());
+                core
+            },
+            |mut core| core.run(&RunConfig::default()),
+        )
     });
     let bench = Crc32Benchmark::new(128, 1);
     c.bench_function("iss_crc32_128_fault_free", |b| {
-        b.iter(|| {
-            let mut core = Core::new(bench.program().clone(), bench.dmem_words());
-            bench.initialize(core.memory_mut());
-            core.run(&RunConfig::default())
-        })
+        b.iter_batched(
+            || {
+                let mut core = Core::new(bench.program().clone(), bench.dmem_words());
+                bench.initialize(core.memory_mut());
+                core
+            },
+            |mut core| core.run(&RunConfig::default()),
+        )
     });
 }
 
@@ -105,11 +114,62 @@ fn bench_model_c_injector(c: &mut Criterion) {
             m.inject(&ctx(i))
         })
     });
+    // An addition above the STA limit but short of its own failure
+    // point: its noise gate skips the sample on all but the deepest
+    // droops.
+    c.bench_function("model_c_inject_gated", |b| {
+        let point = OperatingPoint::new(sta * 1.10, 0.7).with_noise_sigma_mv(10.0);
+        let mut m = study.model_c(point, 7);
+        let add = ExStageContext {
+            alu_class: AluClass::Add,
+            ..ctx(0)
+        };
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            m.inject(&ExStageContext { cycle: i, ..add })
+        })
+    });
+}
+
+fn bench_model_bplus_injector(c: &mut Criterion) {
+    let study = CaseStudy::build(CaseStudyConfig::fast_for_tests());
+    let sta = study.sta_limit_mhz(0.7);
+    let ctx = |cycle: u64| ExStageContext {
+        cycle,
+        alu_class: AluClass::Add,
+        operand_a: 0x1234,
+        operand_b: 0x5678,
+        result: 0x1234 + 0x5678,
+        fi_enabled: true,
+    };
+    // Below the STA limit by more than the worst droop: the gate skips
+    // every sample.
+    c.bench_function("model_bplus_inject_below_limit", |b| {
+        let point = OperatingPoint::new(sta * 0.9, 0.7).with_noise_sigma_mv(10.0);
+        let mut m = study.model_b_plus(point, 7);
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            m.inject(&ctx(i))
+        })
+    });
+    // Just below the STA limit: droops beyond the gate's radius take the
+    // full path.
+    c.bench_function("model_bplus_inject_transition", |b| {
+        let point = OperatingPoint::new(sta * 0.98, 0.7).with_noise_sigma_mv(10.0);
+        let mut m = study.model_b_plus(point, 7);
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            m.inject(&ctx(i))
+        })
+    });
 }
 
 criterion_group! {
     name = substrates;
     config = Criterion::default().sample_size(20);
-    targets = bench_dta, bench_sta, bench_iss, bench_model_c_injector
+    targets = bench_dta, bench_sta, bench_iss, bench_model_c_injector, bench_model_bplus_injector
 }
 criterion_main!(substrates);

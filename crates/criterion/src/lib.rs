@@ -3,19 +3,26 @@
 //! The build environment has no crates.io access, so this workspace-local
 //! crate implements the slice of criterion's API the bench targets use:
 //! [`Criterion::bench_function`], [`Criterion::benchmark_group`],
-//! [`Bencher::iter`], `criterion_group!` and `criterion_main!`.
+//! [`Bencher::iter`], [`Bencher::iter_batched`], `criterion_group!` and
+//! `criterion_main!`.
 //!
-//! Measurement is deliberately simple: each benchmark runs one warm-up
-//! iteration plus `sample_size` timed iterations and reports min / mean /
-//! max wall-clock time.  There is no statistical analysis, plotting or
-//! HTML report — the goal is that `cargo bench` exercises the same code
-//! paths end to end and prints comparable numbers.
+//! Measurement is deliberately simple: after one warm-up call the harness
+//! grows a batch of iterations until one batch takes at least
+//! [`MIN_SAMPLE_TIME`], then times `sample_size` such batches and reports
+//! the min / mean / max time *per iteration*.  Batching keeps the timer's
+//! own cost (tens of nanoseconds) out of sub-microsecond benchmarks.
+//! There is no statistical analysis, plotting or HTML report — the goal
+//! is that `cargo bench` exercises the same code paths end to end and
+//! prints comparable numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::hint;
 use std::time::{Duration, Instant};
+
+/// The shortest wall-clock time one timed batch of iterations may take.
+pub const MIN_SAMPLE_TIME: Duration = Duration::from_millis(1);
 
 /// Prevents the compiler from optimising a benchmarked value away.
 pub fn black_box<T>(x: T) -> T {
@@ -26,19 +33,40 @@ pub fn black_box<T>(x: T) -> T {
 #[derive(Debug)]
 pub struct Bencher {
     sample_size: usize,
+    /// Time per iteration of each sample.
     samples: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Times `sample_size` iterations of `f` (after one warm-up call).
+    /// Times `sample_size` batches of calls to `f` (after one warm-up
+    /// call), each batch long enough to dwarf the timer.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
-        hint::black_box(f());
-        self.samples.clear();
-        for _ in 0..self.sample_size {
+        self.iter_batched(|| (), |()| f());
+    }
+
+    /// Like [`Bencher::iter`], but every call of `routine` gets a fresh
+    /// input from `setup`, which runs outside the timed region.
+    pub fn iter_batched<I, R, S, F>(&mut self, mut setup: S, mut routine: F)
+    where
+        S: FnMut() -> I,
+        F: FnMut(I) -> R,
+    {
+        let mut time_batch = |n: usize| {
+            let inputs: Vec<I> = (0..n).map(|_| setup()).collect();
             let start = Instant::now();
-            hint::black_box(f());
-            self.samples.push(start.elapsed());
+            for input in inputs {
+                hint::black_box(routine(input));
+            }
+            start.elapsed()
+        };
+        time_batch(1);
+        let mut batch = 1usize;
+        while time_batch(batch) < MIN_SAMPLE_TIME && batch < 1 << 30 {
+            batch *= 2;
         }
+        self.samples = (0..self.sample_size)
+            .map(|_| time_batch(batch) / batch as u32)
+            .collect();
     }
 }
 
@@ -73,7 +101,7 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Sets the number of timed iterations per benchmark.
+    /// Sets the number of timed samples (batches) per benchmark.
     ///
     /// # Panics
     ///
@@ -180,5 +208,41 @@ mod tests {
     #[test]
     fn harness_runs() {
         shim_group();
+    }
+
+    #[test]
+    fn batches_fill_the_minimum_sample_time() {
+        let mut b = Bencher {
+            sample_size: 3,
+            samples: Vec::new(),
+        };
+        let mut calls = 0u64;
+        b.iter(|| calls = black_box(calls + 1));
+        assert_eq!(b.samples.len(), 3);
+        // Warm-up, batch calibration and three samples, each sample a
+        // batch taking at least MIN_SAMPLE_TIME: far more calls than
+        // samples, and a per-call time far below the batch time.
+        assert!(calls > 1000, "only {calls} calls");
+        assert!(b.samples.iter().all(|&t| t < MIN_SAMPLE_TIME / 100));
+    }
+
+    #[test]
+    fn batched_setup_is_not_timed() {
+        let mut b = Bencher {
+            sample_size: 5,
+            samples: Vec::new(),
+        };
+        let spin = |d: Duration| {
+            let start = Instant::now();
+            while start.elapsed() < d {}
+        };
+        // A 100 us setup before every 10 us routine call: timed setup
+        // would make every sample at least 110 us per iteration.
+        b.iter_batched(
+            || spin(Duration::from_micros(100)),
+            |()| spin(Duration::from_micros(10)),
+        );
+        let fastest = b.samples.iter().min().copied().unwrap_or_default();
+        assert!(fastest < Duration::from_micros(50), "{:?}", b.samples);
     }
 }

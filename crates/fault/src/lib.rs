@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gate;
 pub mod map;
 pub mod model_a;
 pub mod model_b;
@@ -44,6 +45,7 @@ pub mod model_c;
 pub mod operating_point;
 pub mod table;
 
+pub use gate::NoiseGate;
 pub use map::alu_op_for_class;
 pub use model_a::FixedProbabilityModel;
 pub use model_b::{StaPeriodViolationModel, StaWithNoiseModel};

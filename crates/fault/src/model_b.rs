@@ -1,5 +1,6 @@
 //! Models B and B+: static-timing-based period-violation fault injection.
 
+use crate::gate::{NoiseGate, NoiseReach};
 use crate::operating_point::OperatingPoint;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -100,6 +101,14 @@ impl StaPeriodViolationModel {
         }
     }
 
+    /// Worst STA delay over the endpoints [`Self::violation_mask`] covers.
+    fn max_delay_ps(&self) -> f64 {
+        self.endpoint_delays_ps
+            .iter()
+            .take(32)
+            .fold(0.0, |worst, &d| worst.max(d))
+    }
+
     fn violation_mask(&self, delay_factor: f64) -> u32 {
         let mut mask = 0u32;
         for (bit, &delay) in self.endpoint_delays_ps.iter().enumerate().take(32) {
@@ -128,6 +137,13 @@ impl FaultInjector for StaPeriodViolationModel {
 /// the clock period are flipped.  The model recovers a link to the
 /// randomness of the physical circuit but still treats all ALU
 /// instructions identically (Fig. 1(b)/(c)).
+///
+/// The noise sample is computed lazily: one [`NoiseGate`] over the worst
+/// STA delay, built at construction, skips the Box–Muller transform and
+/// the endpoint walk on cycles where the sample provably flips nothing.
+/// Those cycles still draw the sample's two uniforms, so the
+/// random-number consumption — and every fault sequence — is the same as
+/// evaluating every cycle in full.
 #[derive(Debug, Clone)]
 pub struct StaWithNoiseModel {
     sta: StaPeriodViolationModel,
@@ -136,6 +152,7 @@ pub struct StaWithNoiseModel {
     /// `curve.delay_factor(point.vdd())`, hoisted out of the per-cycle
     /// noise-scaling computation.
     nominal_factor: f64,
+    gate: NoiseGate,
     rng: SmallRng,
 }
 
@@ -191,11 +208,13 @@ impl StaWithNoiseModel {
         seed: u64,
     ) -> Self {
         let nominal_factor = curve.delay_factor(point.vdd());
+        let gate = NoiseReach::new(&curve, point).gate(sta.max_delay_ps());
         StaWithNoiseModel {
             sta,
             point,
             curve,
             nominal_factor,
+            gate,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -209,19 +228,29 @@ impl StaWithNoiseModel {
     pub fn operating_point(&self) -> OperatingPoint {
         self.point
     }
+
+    /// The noise gate of the worst STA endpoint at this operating point.
+    pub fn gate(&self) -> NoiseGate {
+        self.gate
+    }
 }
 
 impl FaultInjector for StaWithNoiseModel {
     fn inject(&mut self, ctx: &ExStageContext) -> u32 {
         // A new independent noise value is drawn every cycle, also outside
-        // the kernel window, to keep the noise sequence cycle-aligned.
-        let noise = self.point.noise().sample_volts(&mut self.rng);
+        // the kernel window, to keep the noise sequence cycle-aligned; it
+        // is only computed when it can matter.
+        let noise = self.point.noise();
         if !ctx.fi_enabled {
+            noise.skip_sample(&mut self.rng);
             return 0;
         }
+        let Some(volts) = self.gate.sample_volts(&noise, &mut self.rng) else {
+            return 0;
+        };
         let factor = self.curve.noise_scaling_factor_with_nominal(
             self.point.vdd(),
-            noise,
+            volts,
             self.nominal_factor,
         );
         self.sta.violation_mask(factor)

@@ -1,11 +1,13 @@
 //! Model C: the proposed statistical, instruction-aware fault injection.
 
+use crate::gate::{NoiseGate, NoiseReach};
 use crate::map::alu_op_for_class;
 use crate::operating_point::OperatingPoint;
 use crate::table::DtaFaultTable;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sfi_cpu::{ExStageContext, FaultInjector};
+use sfi_netlist::alu::AluOp;
 use sfi_timing::{TimingCharacterization, VddDelayCurve};
 use std::sync::Arc;
 
@@ -23,6 +25,13 @@ use std::sync::Arc;
 /// This is the model that reproduces the gradual transition regions between
 /// error-free operation and complete failure (Figs. 4–7 of the paper).
 ///
+/// The noise sample is computed lazily: a per-instruction [`NoiseGate`],
+/// built at construction, skips the Box–Muller transform and the CDF walk
+/// on cycles where the sample provably cannot make the instruction
+/// violate.  Those cycles still draw the sample's two uniforms, so the
+/// random-number consumption — and every fault sequence — is the same as
+/// evaluating every cycle in full.
+///
 /// The expensive characterization data is shared behind `Arc`s (see
 /// [`DtaFaultTable`]): constructing one injector per Monte-Carlo trial via
 /// [`StatisticalDtaModel::from_table`] — or cloning per sweep point via
@@ -37,6 +46,8 @@ pub struct StatisticalDtaModel {
     /// `curve.delay_factor(point.vdd())`, the noise-independent
     /// denominator of the per-cycle scaling factor.
     nominal_factor: f64,
+    /// One noise gate per instruction, indexed by `AluOp::code()`.
+    gates: [NoiseGate; AluOp::ALL.len()],
     rng: SmallRng,
 }
 
@@ -88,11 +99,14 @@ impl StatisticalDtaModel {
             point.vdd()
         );
         let nominal_factor = curve.delay_factor(point.vdd());
+        let reach = NoiseReach::new(&curve, point);
+        let gates = AluOp::ALL.map(|op| reach.gate(table.max_delay_ps(op)));
         StatisticalDtaModel {
             table,
             point,
             period_ps: point.period_ps(),
             nominal_factor,
+            gates,
             curve,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -129,22 +143,34 @@ impl StatisticalDtaModel {
     pub fn fault_table(&self) -> &Arc<DtaFaultTable> {
         &self.table
     }
+
+    /// The noise gate of instruction `op` at this operating point.
+    pub fn gate(&self, op: AluOp) -> NoiseGate {
+        self.gates[op.code() as usize]
+    }
 }
 
 impl FaultInjector for StatisticalDtaModel {
     fn inject(&mut self, ctx: &ExStageContext) -> u32 {
-        // Step 1: per-cycle supply-noise sample -> CDF scaling factor.
-        let noise = self.point.noise().sample_volts(&mut self.rng);
+        // Step 1: per-cycle supply-noise sample -> CDF scaling factor.  The
+        // sample is drawn every cycle, also outside the kernel window, to
+        // keep the noise sequence cycle-aligned; it is only computed when
+        // it can matter.
+        let noise = self.point.noise();
         if !ctx.fi_enabled {
+            noise.skip_sample(&mut self.rng);
             return 0;
         }
+        let op = alu_op_for_class(ctx.alu_class);
+        let Some(volts) = self.gates[op.code() as usize].sample_volts(&noise, &mut self.rng) else {
+            return 0;
+        };
         let delay_factor = self.curve.noise_scaling_factor_with_nominal(
             self.point.vdd(),
-            noise,
+            volts,
             self.nominal_factor,
         );
         debug_assert!(delay_factor > 0.0, "delay factor must be positive");
-        let op = alu_op_for_class(ctx.alu_class);
         // delay * factor > period  <=>  delay > period / factor; computing
         // the scaled threshold once per cycle replaces one division per
         // endpoint with one comparison per endpoint.
@@ -152,8 +178,7 @@ impl FaultInjector for StatisticalDtaModel {
 
         // Steps 2 + 3: per-endpoint probabilities, independent Bernoulli
         // draws (skipped wholesale when the instruction's worst sample
-        // meets the scaled period — the common case below the transition
-        // region).
+        // meets the scaled period).
         let rng = &mut self.rng;
         self.table
             .violation_mask(op, threshold_ps, |p| rng.gen_bool(p))

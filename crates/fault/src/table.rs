@@ -12,8 +12,10 @@
 //! * an O(1) fast path: when the noise-scaled clock period meets or
 //!   exceeds the instruction's worst delay, no endpoint can have a
 //!   non-zero error probability and the whole per-endpoint loop is
-//!   skipped.  This is bit-identical to walking the CDFs, because
-//!   endpoints with probability zero draw no random numbers.
+//!   skipped; inside the loop, the same test per endpoint skips the
+//!   binary search of every endpoint whose own worst delay meets it.
+//!   This is bit-identical to walking the CDFs, because endpoints with
+//!   probability zero draw no random numbers.
 //!
 //! The table is built once per characterization (typically at
 //! [`CaseStudy`](../../sfi_core/study/struct.CaseStudy.html) construction)
@@ -42,6 +44,9 @@ struct OpTable {
     /// delay samples (ascending, exactly the CDF's backing data).
     offsets: Vec<u32>,
     delays: Vec<f64>,
+    /// Each endpoint's worst delay sample (`-inf` when it has none), kept
+    /// apart from `delays` so the per-endpoint skip test stays in cache.
+    endpoint_max_ps: Vec<f64>,
     /// Worst observed delay over the covered endpoints, in picoseconds
     /// (`0.0` when every covered endpoint is empty — then nothing ever
     /// violates).
@@ -57,19 +62,19 @@ impl DtaFaultTable {
             .map(|&op| {
                 let mut offsets = Vec::with_capacity(endpoints + 1);
                 let mut delays = Vec::new();
-                let mut max_delay_ps = 0.0f64;
+                let mut endpoint_max_ps = Vec::with_capacity(endpoints);
                 offsets.push(0);
                 for endpoint in 0..endpoints {
                     let samples = characterization.cdf(op, endpoint).samples();
                     delays.extend_from_slice(samples);
                     offsets.push(delays.len() as u32);
-                    if let Some(&worst) = samples.last() {
-                        max_delay_ps = max_delay_ps.max(worst);
-                    }
+                    endpoint_max_ps.push(samples.last().copied().unwrap_or(f64::NEG_INFINITY));
                 }
+                let max_delay_ps = endpoint_max_ps.iter().fold(0.0, |a: f64, &b| a.max(b));
                 OpTable {
                     offsets,
                     delays,
+                    endpoint_max_ps,
                     max_delay_ps,
                 }
             })
@@ -106,11 +111,13 @@ impl DtaFaultTable {
     /// the same data.
     pub fn error_probability(&self, op: AluOp, endpoint: usize, threshold_ps: f64) -> f64 {
         let table = &self.ops[op.code() as usize];
-        let slice =
-            &table.delays[table.offsets[endpoint] as usize..table.offsets[endpoint + 1] as usize];
-        if slice.is_empty() {
+        // An endpoint whose own worst sample meets the threshold (or that
+        // has no samples) has probability exactly zero: skip the search.
+        if table.endpoint_max_ps[endpoint] <= threshold_ps {
             return 0.0;
         }
+        let slice =
+            &table.delays[table.offsets[endpoint] as usize..table.offsets[endpoint + 1] as usize];
         let idx = slice.partition_point(|&d| d <= threshold_ps);
         (slice.len() - idx) as f64 / slice.len() as f64
     }

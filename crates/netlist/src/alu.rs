@@ -79,10 +79,8 @@ impl AluOp {
 
     /// Numeric select code of the operation (index into [`AluOp::ALL`]).
     pub fn code(self) -> u8 {
-        AluOp::ALL
-            .iter()
-            .position(|&op| op == self)
-            .expect("op in ALL") as u8
+        // The declaration order is the order of `ALL`.
+        self as u8
     }
 
     /// The operation corresponding to a select code, if valid.
@@ -417,6 +415,13 @@ mod tests {
         }
         assert_eq!(AluOp::from_code(15), None);
         assert_eq!(AluOp::from_code(200), None);
+    }
+
+    #[test]
+    fn codes_are_indices_into_all() {
+        for (i, op) in AluOp::ALL.into_iter().enumerate() {
+            assert_eq!(op.code() as usize, i, "{op:?}");
+        }
     }
 
     #[test]

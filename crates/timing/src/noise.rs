@@ -97,17 +97,42 @@ impl VoltageNoise {
 
     /// Draws one independent noise sample in volts.
     ///
-    /// Uses the Box–Muller transform so only the `rand` core is required.
+    /// Uses the Box–Muller transform so only the `rand` core is required:
+    /// the composition of [`VoltageNoise::uniforms`] and
+    /// [`VoltageNoise::volts_from_uniforms`].  A noiseless source draws
+    /// nothing.
     pub fn sample_volts<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if self.sigma_volts == 0.0 {
             return 0.0;
         }
-        // Box-Muller: two uniforms -> one standard normal.
+        let (u1, u2) = self.uniforms(rng);
+        self.volts_from_uniforms(u1, u2)
+    }
+
+    /// Draws the two Box–Muller uniforms of one sample: `u1` in
+    /// `[f64::MIN_POSITIVE, 1)` (the radius) and `u2` in `[0, 1)` (the
+    /// angle).  Always consumes two words of `rng`.
+    pub fn uniforms<R: Rng + ?Sized>(&self, rng: &mut R) -> (f64, f64) {
         let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
+        (u1, u2)
+    }
+
+    /// The clipped noise sample, in volts, that the uniforms `(u1, u2)`
+    /// map to under the Box–Muller transform.
+    pub fn volts_from_uniforms(&self, u1: f64, u2: f64) -> f64 {
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         let clipped = z.clamp(-self.clip_sigmas, self.clip_sigmas);
         clipped * self.sigma_volts
+    }
+
+    /// Advances `rng` exactly as [`VoltageNoise::sample_volts`] does,
+    /// without computing the sample: for callers that can prove the value
+    /// does not matter but must keep the random stream aligned.
+    pub fn skip_sample<R: Rng + ?Sized>(&self, rng: &mut R) {
+        if self.sigma_volts != 0.0 {
+            self.uniforms(rng);
+        }
     }
 }
 
@@ -170,6 +195,34 @@ mod tests {
         let wide = n.with_clip_sigmas(3.0);
         assert_eq!(wide.clip_sigmas(), 3.0);
         assert!(wide.max_excursion_volts() > n.max_excursion_volts());
+    }
+
+    #[test]
+    fn skip_sample_consumes_what_sample_volts_consumes() {
+        for sigma_mv in [0.0, 10.0] {
+            let n = VoltageNoise::with_sigma_mv(sigma_mv);
+            let mut sampled = SmallRng::seed_from_u64(11);
+            let mut skipped = SmallRng::seed_from_u64(11);
+            for _ in 0..100 {
+                n.sample_volts(&mut sampled);
+                n.skip_sample(&mut skipped);
+            }
+            assert_eq!(sampled, skipped, "sigma {sigma_mv} mV");
+        }
+    }
+
+    #[test]
+    fn sample_is_the_transform_of_the_uniforms() {
+        let n = VoltageNoise::with_sigma_mv(25.0);
+        let mut a = SmallRng::seed_from_u64(5);
+        let mut b = SmallRng::seed_from_u64(5);
+        for _ in 0..1000 {
+            let (u1, u2) = n.uniforms(&mut b);
+            assert_eq!(
+                n.sample_volts(&mut a).to_bits(),
+                n.volts_from_uniforms(u1, u2).to_bits()
+            );
+        }
     }
 
     #[test]
