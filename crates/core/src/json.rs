@@ -137,6 +137,7 @@ impl Json {
     /// deeper than [`MAX_PARSE_DEPTH`] are rejected.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -203,6 +204,7 @@ impl std::error::Error for ParseError {}
 pub const MAX_PARSE_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -278,13 +280,22 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of unescaped bytes up to the next quote or
+            // backslash in one step.  Both are ASCII, so the run ends on a
+            // char boundary of the (already valid UTF-8) input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -296,13 +307,16 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
+                            let hex = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            // Exactly four hex digits (`from_str_radix`
+                            // would also take a sign).
+                            let code = hex
+                                .iter()
+                                .try_fold(0, |acc, &d| Some(acc * 16 + (d as char).to_digit(16)?))
+                                .ok_or_else(|| self.err("invalid \\u escape"))?;
                             // Surrogate pairs are not needed for the ASCII
                             // identifiers this module stores; reject them
                             // rather than mis-decoding.
@@ -314,14 +328,6 @@ impl Parser<'_> {
                         _ => return Err(self.err("invalid escape sequence")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -455,6 +461,46 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            Json::parse("\"\\u0041\\u00e9\"").unwrap().as_str(),
+            Some("Aé")
+        );
+        for bad in [
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04g1\"",
+            "\"\\u041\"",
+            "\"\\u04\"",
+            "\"\\u00\u{e9}\"",
+        ] {
+            let err = Json::parse(bad).expect_err("malformed \\u escape must fail");
+            assert!(err.message.contains("\\u escape"), "{bad:?} gave {err}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A parser that re-scans the rest of the input per character
+        // takes tens of seconds on a 1 MiB string.
+        let body = "é".repeat(1 << 19);
+        let text = format!("{{\"k\":\"{body}\",\"e\":\"a\\n{body}\"}}");
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).expect("parses");
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(1),
+            "took {:?}",
+            start.elapsed()
+        );
+        assert_eq!(parsed.get("k").and_then(Json::as_str), Some(body.as_str()));
+        assert_eq!(
+            parsed.get("e").and_then(Json::as_str),
+            Some(format!("a\n{body}").as_str())
+        );
     }
 
     #[test]

@@ -369,6 +369,10 @@ pub fn recover(records: &[Json]) -> Vec<RecoveredJob> {
                 let (Some(job), Some(cell)) = (jobs.get_mut(&id), record.get("cell")) else {
                     continue;
                 };
+                // A cell landing after `done` is no resume seed either.
+                if job.terminal.is_some() {
+                    continue;
+                }
                 let index = cell.get("cell").and_then(Json::as_u64).unwrap_or(u64::MAX);
                 if seen_cells.entry(id).or_default().insert(index) {
                     job.cells.push(cell.clone());

@@ -10,11 +10,12 @@
 
 use sfi_core::json::Json;
 use sfi_obs::{AlertStatus, Event, FieldValue, Sample, SampleValue, Snapshot, TraceRecord};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 /// Formats a histogram upper bound the way Prometheus spells `le` labels.
 fn le_string(bound: f64) -> String {
@@ -288,32 +289,86 @@ impl Drop for PrometheusListener {
     }
 }
 
-/// Answers one request: parses the request line, routes on method and
-/// path, drains the remaining headers, writes one response and closes.
+/// Largest request head (request line plus headers) the listener reads.
+const MAX_REQUEST_BYTES: u64 = 8 * 1024;
+
+/// Time a peer gets to send its whole request head.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Reads from a stream until a fixed instant: each read waits at most the
+/// time left, so a peer that drips bytes cannot stretch the deadline.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    until: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+/// Answers one request: reads the request head, routes on method and
+/// path, writes one response and closes.
 ///
-/// The listener serves one connection at a time, so a silent peer would
-/// wedge every later scrape; a fixed deadline bounds the damage.
+/// The listener serves one connection at a time, so a silent or dripping
+/// peer would wedge every later scrape: the request head must arrive
+/// whole within [`REQUEST_DEADLINE`] and fit in [`MAX_REQUEST_BYTES`].
+/// A larger head gets `431` and the rest of it is left unread.
 fn serve_scrape(stream: TcpStream) -> io::Result<()> {
-    let deadline = Some(std::time::Duration::from_secs(10));
-    stream.set_read_timeout(deadline)?;
-    stream.set_write_timeout(deadline)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    stream.set_write_timeout(Some(REQUEST_DEADLINE))?;
+    let (status, content_type, body) = match read_request_line(&stream)? {
+        Some(request_line) => route(&request_line),
+        None => (
+            "431 Request Header Fields Too Large",
+            "text/plain; charset=utf-8",
+            "request head too large\n".to_string(),
+        ),
+    };
+    let head = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
     let mut writer = stream;
+    writer.write_all(head.as_bytes())?;
+    writer.write_all(body.as_bytes())?;
+    writer.flush()
+}
+
+/// Reads the request head and returns its first line, or `None` when the
+/// head does not fit in [`MAX_REQUEST_BYTES`].  The headers are drained up
+/// to the blank line; none of them affect routing.
+fn read_request_line(stream: &TcpStream) -> io::Result<Option<String>> {
+    let until = Instant::now() + REQUEST_DEADLINE;
+    let mut reader = BufReader::new(DeadlineReader { stream, until }.take(MAX_REQUEST_BYTES));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
-    // Drain headers up to the blank line; none of them affect routing.
     loop {
         let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line.trim().is_empty() {
-            break;
+        if reader.read_line(&mut line)? == 0 {
+            // End of input: the peer's, or the byte limit's.
+            return Ok((reader.get_ref().limit() > 0).then_some(request_line));
+        }
+        if line.trim().is_empty() {
+            return Ok(Some(request_line));
         }
     }
+}
+
+/// The status, content type and body answering `request_line`.
+fn route(request_line: &str) -> (&'static str, &'static str, String) {
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     // Route on the path alone; ignore any `?query` suffix.
     let target = parts.next().unwrap_or("");
     let path = target.split('?').next().unwrap_or("");
-    let (status, content_type, body) = if method != "GET" {
+    if method != "GET" {
         (
             "405 Method Not Allowed",
             "text/plain; charset=utf-8",
@@ -346,14 +401,7 @@ fn serve_scrape(stream: TcpStream) -> io::Result<()> {
                 "unknown path; try /metrics, /healthz, /trace or /alerts\n".to_string(),
             ),
         }
-    };
-    let head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body.as_bytes())?;
-    writer.flush()
+    }
 }
 
 /// The `/healthz` body: uptime plus scheduler liveness gauges, readable by
@@ -545,6 +593,36 @@ mod tests {
             posted.starts_with("HTTP/1.1 405 Method Not Allowed\r\n"),
             "{posted}"
         );
+    }
+
+    #[test]
+    fn oversized_request_gets_431_and_the_listener_keeps_serving() {
+        let listener = PrometheusListener::start("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr();
+        let start = Instant::now();
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        // 64 KiB of request line and no newline: the listener must answer
+        // once it has read its limit, not wait for the line to end.
+        stream
+            .write_all(format!("GET /{}", "a".repeat(64 * 1024)).as_bytes())
+            .expect("writes");
+        let mut status_line = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut status_line)
+            .expect("gets a response");
+        assert!(status_line.starts_with("HTTP/1.1 431 "), "{status_line:?}");
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "{:?}",
+            start.elapsed()
+        );
+        drop(stream);
+
+        let scrape = http_get(addr, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(scrape.starts_with("HTTP/1.1 200 OK\r\n"), "{scrape}");
     }
 
     #[test]
