@@ -232,7 +232,10 @@ impl CampaignEngine {
 
     /// Attributes every span and counter record this run emits to a serve
     /// job id, so per-job trace filters (`sfi-client trace --job`) pick up
-    /// the engine's cell and trial spans.
+    /// the engine's records: one `campaign` span, one `cell` span per
+    /// simulated cell and one `worker_utilization` counter per worker.
+    /// Per-trial timing is not recorded; the trace store's size scales
+    /// with cells, not trials.
     pub fn with_trace_job(mut self, job: u64) -> Self {
         self.trace_job = Some(job);
         self
@@ -430,7 +433,7 @@ struct Shared<'a> {
     progress: Option<ProgressHook>,
     /// External cancellation flag, if any.
     cancel: Option<Arc<AtomicBool>>,
-    /// Span id of the enclosing campaign span (parent of cell/trial spans).
+    /// Span id of the enclosing campaign span (parent of cell spans).
     trace_parent: u64,
     /// Serve job id the run's trace records are attributed to, if any.
     trace_job: Option<u64>,
@@ -645,7 +648,6 @@ fn execute_job(worker: usize, shared: &Shared<'_>, context: &mut TrialContext, j
     shared.max_in_flight.fetch_max(in_flight, Ordering::SeqCst);
     shared.worker_used[worker % shared.worker_used.len()].fetch_add(1, Ordering::Relaxed);
 
-    let trial_start = sfi_obs::clock::now_micros();
     let result = context.run_trial(
         shared.study,
         benchmark,
@@ -655,22 +657,6 @@ fn execute_job(worker: usize, shared: &Shared<'_>, context: &mut TrialContext, j
         max_cycles,
         trial_seed,
     );
-    // One span per trial: two clock reads and a push on the thread-local
-    // buffer (drained at its capacity or cell boundaries — never a lock
-    // per trial).
-    sfi_obs::span::record_span(
-        "trial",
-        "engine",
-        trial_start,
-        sfi_obs::clock::now_micros().saturating_sub(trial_start),
-        shared.trace_parent,
-        shared.trace_job,
-        vec![
-            ("cell", sfi_obs::FieldValue::U64(cell_index as u64)),
-            ("trial", sfi_obs::FieldValue::U64(job.trial as u64)),
-        ],
-    );
-
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     shared.executed_trials.fetch_add(1, Ordering::SeqCst);
 

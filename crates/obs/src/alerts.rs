@@ -15,8 +15,8 @@
 //!
 //! The default rule set ([`default_rules`]) covers the two conditions the
 //! roadmap called out: scheduler queue-depth saturation
-//! (`sfi_sched_queue_depth` summed over priority classes) and event-ring
-//! overflow (`sfi_events_dropped_total` increasing between polls).
+//! (`sfi_sched_queue_depth` summed over priority classes) and trace-store
+//! overflow (`sfi_trace_records_dropped_total` increasing between polls).
 
 use crate::clock;
 use crate::registry::{SampleValue, Snapshot};
@@ -108,7 +108,7 @@ impl AlertRule {
     }
 }
 
-/// The built-in rule set: queue-depth saturation and event-ring drops.
+/// The built-in rule set: queue-depth saturation and trace-store drops.
 pub fn default_rules(
     queue_depth_limit: f64,
     queue_hold_seconds: f64,
@@ -122,8 +122,8 @@ pub fn default_rules(
             queue_hold_seconds,
         ),
         AlertRule::counter_rate_above(
-            "event_ring_dropping",
-            "sfi_events_dropped_total",
+            "trace_store_dropping",
+            "sfi_trace_records_dropped_total",
             drop_rate_per_second,
         ),
     ]
@@ -293,7 +293,7 @@ fn family_total(snapshot: &Snapshot, family: &str) -> Option<f64> {
 }
 
 /// The process-wide alert set singleton, seeded with [`default_rules`]
-/// (queue depth above 8 held for 5 s; any event-ring drops).  Servers
+/// (queue depth above 8 held for 5 s; any trace-store drops).  Servers
 /// replace the set at startup via [`Alerts::install`].
 pub fn alerts() -> &'static Alerts {
     static ALERTS: OnceLock<Alerts> = OnceLock::new();
@@ -326,7 +326,7 @@ mod tests {
                     ],
                 },
                 Family {
-                    name: "sfi_events_dropped_total",
+                    name: "sfi_trace_records_dropped_total",
                     help: "",
                     kind: FamilyKind::Counter,
                     samples: vec![Sample {
@@ -375,7 +375,7 @@ mod tests {
     fn a_rate_rule_compares_consecutive_evaluations() {
         let alerts = Alerts::new(vec![AlertRule::counter_rate_above(
             "dropping",
-            "sfi_events_dropped_total",
+            "sfi_trace_records_dropped_total",
             0.0,
         )]);
         // First evaluation: no previous point, never fires.

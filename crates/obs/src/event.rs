@@ -1,18 +1,14 @@
-//! A bounded ring buffer of structured events.
+//! Structured events.
 //!
 //! Events are small typed records — a kind, a monotonic timestamp, the
-//! job/cell span they belong to, and a handful of named fields — pushed by
-//! the scheduler and engine at lifecycle edges (submitted, started,
-//! preempted, evicted, …).  The ring keeps the most recent `capacity`
-//! events and counts what it had to drop, so a post-mortem of a cancelled
-//! or evicted job can always see the tail of its history.
+//! job/cell span they belong to, and a handful of named fields — recorded
+//! by the scheduler at lifecycle edges (submitted, started, preempted,
+//! evicted, …) through [`crate::span::record_event`].  They live in the
+//! bounded trace store beside spans and counters, so a post-mortem of a
+//! cancelled or evicted job sees the tail of its history in one place.
 //!
-//! Pushes take a short mutex; event rates are lifecycle-bounded (a few per
-//! job), never per-trial, so the lock is cold by construction.
-
-use crate::clock;
-use std::collections::VecDeque;
-use std::sync::Mutex;
+//! Event rates are lifecycle-bounded (a few per job), never per-trial, so
+//! recording one takes the store lock directly.
 
 /// One named field value of an [`Event`].
 #[derive(Debug, Clone, PartialEq)]
@@ -59,7 +55,7 @@ impl From<String> for FieldValue {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Monotonic timestamp, microseconds since the process epoch
-    /// ([`clock::now_micros`]).
+    /// ([`crate::clock::now_micros`]); stamped when the event is recorded.
     pub ts_us: u64,
     /// Event kind, e.g. `job_submitted` or `result_evicted`.
     pub kind: &'static str,
@@ -72,11 +68,11 @@ pub struct Event {
 }
 
 impl Event {
-    /// A new event of the given kind, stamped with the current monotonic
-    /// time.
+    /// A new event of the given kind; [`crate::span::record_event`]
+    /// stamps its timestamp.
     pub fn new(kind: &'static str) -> Self {
         Event {
-            ts_us: clock::now_micros(),
+            ts_us: 0,
             kind,
             job: None,
             cell: None,
@@ -103,119 +99,9 @@ impl Event {
     }
 }
 
-#[derive(Debug)]
-struct Ring {
-    buf: VecDeque<Event>,
-    capacity: usize,
-    dropped: u64,
-}
-
-/// The bounded event buffer: keeps the newest `capacity` events.
-#[derive(Debug)]
-pub struct EventRing {
-    inner: Mutex<Ring>,
-}
-
-impl EventRing {
-    /// An empty ring holding at most `capacity` events (at least one).
-    pub fn new(capacity: usize) -> Self {
-        EventRing {
-            inner: Mutex::new(Ring {
-                buf: VecDeque::new(),
-                capacity: capacity.max(1),
-                dropped: 0,
-            }),
-        }
-    }
-
-    /// Resizes the ring; excess oldest events are dropped (and counted).
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut ring = self.inner.lock().expect("event ring poisoned");
-        ring.capacity = capacity.max(1);
-        while ring.buf.len() > ring.capacity {
-            ring.buf.pop_front();
-            ring.dropped += 1;
-        }
-    }
-
-    /// Appends an event, evicting the oldest when full.
-    pub fn push(&self, event: Event) {
-        let mut ring = self.inner.lock().expect("event ring poisoned");
-        if ring.buf.len() == ring.capacity {
-            ring.buf.pop_front();
-            ring.dropped += 1;
-        }
-        ring.buf.push_back(event);
-    }
-
-    /// The newest events, oldest first: at most `limit`, optionally only
-    /// those belonging to `job`.
-    pub fn recent(&self, limit: usize, job: Option<u64>) -> Vec<Event> {
-        let ring = self.inner.lock().expect("event ring poisoned");
-        let matches = |event: &&Event| job.is_none() || event.job == job;
-        let mut newest: Vec<Event> = ring
-            .buf
-            .iter()
-            .rev()
-            .filter(matches)
-            .take(limit)
-            .cloned()
-            .collect();
-        newest.reverse();
-        newest
-    }
-
-    /// Number of events evicted because the ring was full (plus any
-    /// trimmed by [`EventRing::set_capacity`]).
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("event ring poisoned").dropped
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().expect("event ring poisoned").capacity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_keeps_the_newest_events_and_counts_drops() {
-        let ring = EventRing::new(3);
-        for job in 0..5u64 {
-            ring.push(Event::new("job_submitted").job(job));
-        }
-        let kept: Vec<_> = ring.recent(10, None).iter().map(|e| e.job).collect();
-        assert_eq!(kept, vec![Some(2), Some(3), Some(4)]);
-        assert_eq!(ring.dropped(), 2);
-    }
-
-    #[test]
-    fn recent_filters_by_job_and_limits() {
-        let ring = EventRing::new(16);
-        for i in 0..6u64 {
-            ring.push(Event::new("tick").job(i % 2));
-        }
-        let job0: Vec<_> = ring.recent(10, Some(0)).iter().map(|e| e.ts_us).collect();
-        assert_eq!(job0.len(), 3);
-        assert!(job0.windows(2).all(|w| w[0] <= w[1]), "oldest first");
-        assert_eq!(ring.recent(2, None).len(), 2);
-    }
-
-    #[test]
-    fn shrinking_capacity_trims_the_oldest() {
-        let ring = EventRing::new(8);
-        for job in 0..8u64 {
-            ring.push(Event::new("tick").job(job));
-        }
-        ring.set_capacity(2);
-        let kept: Vec<_> = ring.recent(10, None).iter().map(|e| e.job).collect();
-        assert_eq!(kept, vec![Some(6), Some(7)]);
-        assert_eq!(ring.dropped(), 6);
-        assert_eq!(ring.capacity(), 2);
-    }
 
     #[test]
     fn events_carry_spans_and_fields() {

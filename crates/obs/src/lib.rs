@@ -16,12 +16,12 @@
 //!   trips), the campaign engine (steals, cells, adaptive-stop savings,
 //!   checkpoints) and the serve scheduler (queue depths, quotas,
 //!   preemptions, evictions, cache hits, wait/run latencies).
-//! * [`event`] — a bounded ring ([`events`]) of structured [`Event`]s with
-//!   monotonic timestamps and per-job/per-cell span ids, for post-mortem
-//!   of cancelled or evicted jobs.
-//! * [`span`] — lightweight start/stop spans ([`Span`]) with parent
-//!   links, buffered per thread and drained into the bounded process-wide
-//!   trace store ([`trace`]), plus sampled counter tracks and a Chrome
+//! * [`event`] — structured [`Event`]s with monotonic timestamps and
+//!   per-job/per-cell span ids, for post-mortem of cancelled or evicted
+//!   jobs, recorded into the trace store by [`record_event`].
+//! * [`span`] — the one bounded telemetry store ([`trace`]): lightweight
+//!   start/stop spans ([`Span`]) with parent links, buffered per thread
+//!   and drained into it, sampled counter tracks, events, and a Chrome
 //!   trace-event serializer ([`chrome_trace_json`]) loadable in
 //!   `chrome://tracing` / Perfetto.
 //! * [`alerts`] — declarative threshold rules ([`AlertRule`]: gauge above
@@ -50,13 +50,13 @@ pub mod registry;
 pub mod span;
 
 pub use alerts::{default_rules, AlertCondition, AlertRule, AlertStatus, Alerts};
-pub use event::{Event, EventRing, FieldValue};
+pub use event::{Event, FieldValue};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, ShardedCounter};
 pub use registry::{
-    events, metrics, Family, FamilyKind, Metrics, Sample, SampleValue, Snapshot,
-    DEFAULT_EVENT_CAPACITY, FAULT_MODEL_LABELS, PRIORITY_LABELS,
+    metrics, Family, FamilyKind, Metrics, Sample, SampleValue, Snapshot, FAULT_MODEL_LABELS,
+    PRIORITY_LABELS,
 };
 pub use span::{
-    chrome_trace_json, trace, CounterRecord, Span, SpanRecord, TraceRecord, TraceStore,
-    DEFAULT_TRACE_CAPACITY,
+    chrome_trace_json, record_event, trace, CounterRecord, Span, SpanRecord, TraceRecord,
+    TraceStore, DEFAULT_TRACE_CAPACITY,
 };

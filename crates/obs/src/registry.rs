@@ -6,7 +6,6 @@
 //! hot path), and [`Metrics::snapshot`] enumerates every family with its
 //! name, help text and type in one place.
 
-use crate::event::EventRing;
 use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot, ShardedCounter};
 use std::sync::OnceLock;
 
@@ -279,11 +278,6 @@ impl Metrics {
                 self.cache_misses.get(),
             ),
             counter(
-                "sfi_events_dropped_total",
-                "Events evicted from the bounded in-memory ring",
-                events().dropped(),
-            ),
-            counter(
                 "sfi_trace_records_dropped_total",
                 "Trace records evicted from the bounded trace store",
                 crate::span::trace().dropped(),
@@ -337,15 +331,6 @@ impl Metrics {
 pub fn metrics() -> &'static Metrics {
     static METRICS: OnceLock<Metrics> = OnceLock::new();
     METRICS.get_or_init(Metrics::new)
-}
-
-/// Default capacity of the process-wide event ring.
-pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
-
-/// The process-wide event ring singleton.
-pub fn events() -> &'static EventRing {
-    static EVENTS: OnceLock<EventRing> = OnceLock::new();
-    EVENTS.get_or_init(|| EventRing::new(DEFAULT_EVENT_CAPACITY))
 }
 
 /// What kind of samples a family carries.
@@ -446,7 +431,6 @@ mod tests {
             "sfi_engine_worker_steal_micros_total",
             "sfi_sched_queue_depth",
             "sfi_sched_job_wait_seconds",
-            "sfi_events_dropped_total",
             "sfi_trace_records_dropped_total",
             "sfi_journal_appends_total",
             "sfi_journal_replayed_records_total",
@@ -462,6 +446,5 @@ mod tests {
     #[test]
     fn the_singletons_are_stable() {
         assert!(std::ptr::eq(metrics(), metrics()));
-        assert!(std::ptr::eq(events(), events()));
     }
 }

@@ -7,26 +7,33 @@
 //! drained into the bounded process-wide [`TraceStore`] when it fills,
 //! when the thread exits, or when the instrumented layer calls
 //! [`flush_thread`] at a coarse boundary (cell completion, worker exit,
-//! build phase end).  The store evicts oldest-first and counts what it
-//! dropped, exactly like the event ring.
+//! build phase end).  The store is the process's one bounded telemetry
+//! store: it evicts oldest-first and counts what it dropped, whatever the
+//! record kind.
 //!
 //! Besides spans the store holds [`CounterRecord`]s — sampled counter
 //! series (per-worker utilization) that Chrome's trace viewer renders as
-//! stacked counter tracks.
+//! stacked counter tracks — and structured [`Event`]s, which
+//! [`record_event`] pushes straight into the store, stamped under its lock
+//! so that events are stored in timestamp order.  Each view (the daemon's
+//! `events` and `trace` frames) takes its own newest records through
+//! [`TraceStore::snapshot`]'s filter.
 //!
 //! [`chrome_trace_json`] serializes any record slice into the Chrome
 //! trace-event JSON array format (`chrome://tracing`, Perfetto): spans
 //! become complete events (`"ph":"X"`) with microsecond `ts`/`dur`,
-//! counters become `"ph":"C"` events.  Records are sorted by timestamp so
-//! the output is monotonic regardless of cross-thread flush order.
+//! counters become `"ph":"C"` events and events become instant events
+//! (`"ph":"i"`).  Records are sorted by timestamp so the output is
+//! monotonic regardless of cross-thread flush order.
 //!
 //! The overhead contract of the crate holds: recording a span is two
 //! monotonic clock reads and a `Vec` push on thread-private memory; the
 //! store mutex is only touched once per [`THREAD_BUFFER_CAPACITY`]
-//! records or at explicit coarse-boundary flushes.
+//! records, at explicit coarse-boundary flushes, or per lifecycle event.
+//! What the store holds scales with jobs and cells, never with trials.
 
 use crate::clock;
-use crate::event::FieldValue;
+use crate::event::{Event, FieldValue};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -46,6 +53,8 @@ pub enum TraceRecord {
     Span(SpanRecord),
     /// A sampled counter series.
     Counter(CounterRecord),
+    /// A structured lifecycle event.
+    Event(Event),
 }
 
 impl TraceRecord {
@@ -54,7 +63,13 @@ impl TraceRecord {
         match self {
             TraceRecord::Span(span) => span.job,
             TraceRecord::Counter(counter) => counter.job,
+            TraceRecord::Event(event) => event.job,
         }
+    }
+
+    /// Whether this record is a structured event.
+    pub fn is_event(&self) -> bool {
+        matches!(self, TraceRecord::Event(_))
     }
 
     /// The record's timestamp (a span's start) in monotonic microseconds.
@@ -62,6 +77,7 @@ impl TraceRecord {
         match self {
             TraceRecord::Span(span) => span.start_us,
             TraceRecord::Counter(counter) => counter.ts_us,
+            TraceRecord::Event(event) => event.ts_us,
         }
     }
 }
@@ -240,6 +256,16 @@ pub fn record_counter(name: &'static str, job: Option<u64>, series: Vec<(&'stati
     }));
 }
 
+/// Records a structured event straight into the store, bypassing the
+/// thread buffer so the events view is current at once.  The timestamp
+/// is stamped under the store lock: racing threads still store their
+/// events in timestamp order.
+pub fn record_event(mut event: Event) {
+    let mut inner = trace().lock();
+    event.ts_us = clock::now_micros();
+    inner.push(TraceRecord::Event(event));
+}
+
 /// The per-thread buffer; its `Drop` flushes whatever the thread queued
 /// but never explicitly drained.
 struct ThreadBuffer(Vec<TraceRecord>);
@@ -312,27 +338,26 @@ impl TraceStore {
         }
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, StoreInner> {
+        self.inner.lock().expect("trace store poisoned")
+    }
+
     /// Appends records, evicting oldest entries beyond the capacity.
     pub fn extend(&self, records: impl IntoIterator<Item = TraceRecord>) {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
+        let mut inner = self.lock();
         for record in records {
-            if inner.buf.len() == inner.capacity {
-                inner.buf.pop_front();
-                inner.dropped += 1;
-            }
-            inner.buf.push_back(record);
+            inner.push(record);
         }
     }
 
-    /// The newest `limit` records (optionally only those of one job),
-    /// oldest first.
-    pub fn snapshot(&self, limit: usize, job: Option<u64>) -> Vec<TraceRecord> {
-        let inner = self.inner.lock().expect("trace store poisoned");
+    /// The newest `limit` records that `keep` accepts, oldest first.
+    pub fn snapshot(&self, limit: usize, keep: impl Fn(&TraceRecord) -> bool) -> Vec<TraceRecord> {
+        let inner = self.lock();
         let mut records: Vec<TraceRecord> = inner
             .buf
             .iter()
             .rev()
-            .filter(|record| job.is_none() || record.job() == job)
+            .filter(|record| keep(record))
             .take(limit)
             .cloned()
             .collect();
@@ -340,25 +365,20 @@ impl TraceStore {
         records
     }
 
-    /// Records evicted since process start.
+    /// Records of any kind evicted since process start.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("trace store poisoned").dropped
+        self.lock().dropped
     }
+}
 
-    /// The current capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().expect("trace store poisoned").capacity
-    }
-
-    /// Rebounds the store, evicting (and counting) oldest records if the
-    /// new capacity is smaller.
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
-        inner.capacity = capacity.max(1);
-        while inner.buf.len() > inner.capacity {
-            inner.buf.pop_front();
-            inner.dropped += 1;
+impl StoreInner {
+    /// Appends one record, evicting (and counting) the oldest when full.
+    fn push(&mut self, record: TraceRecord) {
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
         }
+        self.buf.push_back(record);
     }
 }
 
@@ -370,8 +390,9 @@ pub fn trace() -> &'static TraceStore {
 
 /// Serializes records into the Chrome trace-event JSON array format
 /// (loadable in `chrome://tracing` and Perfetto).  Spans become complete
-/// events (`"ph":"X"`), counters become counter events (`"ph":"C"`);
-/// records are sorted by timestamp so `ts` is monotonic.
+/// events (`"ph":"X"`), counters become counter events (`"ph":"C"`) and
+/// events become process-wide instant events (`"ph":"i"`); records are
+/// sorted by timestamp so `ts` is monotonic.
 pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     let mut sorted: Vec<&TraceRecord> = records.iter().collect();
     sorted.sort_by_key(|record| record.ts_us());
@@ -397,17 +418,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                     let _ = write!(out, ",\"job\":{job}");
                 }
                 for (name, value) in &span.args {
-                    let _ = write!(out, ",{}:", json_string(name));
-                    match value {
-                        FieldValue::U64(n) => {
-                            let _ = write!(out, "{n}");
-                        }
-                        FieldValue::F64(x) if x.is_finite() => {
-                            let _ = write!(out, "{x}");
-                        }
-                        FieldValue::F64(_) => out.push_str("null"),
-                        FieldValue::Str(s) => out.push_str(&json_string(s)),
-                    }
+                    write_field(&mut out, name, value);
                 }
                 out.push_str("}}");
             }
@@ -433,10 +444,46 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                 }
                 out.push_str("}}");
             }
+            TraceRecord::Event(event) => {
+                let _ = write!(
+                    out,
+                    "{{\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":0,\"ts\":{},\"name\":{},\"cat\":\"event\"",
+                    event.ts_us,
+                    json_string(event.kind),
+                );
+                out.push_str(",\"args\":{");
+                for (name, id) in [("job", event.job), ("cell", event.cell)] {
+                    if let Some(id) = id {
+                        write_field(&mut out, name, &FieldValue::U64(id));
+                    }
+                }
+                for (name, value) in &event.fields {
+                    write_field(&mut out, name, value);
+                }
+                out.push_str("}}");
+            }
         }
     }
     out.push(']');
     out
+}
+
+/// Appends one `"name":value` member to an open JSON object.
+fn write_field(out: &mut String, name: &str, value: &FieldValue) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    let _ = write!(out, "{}:", json_string(name));
+    match value {
+        FieldValue::U64(n) => {
+            let _ = write!(out, "{n}");
+        }
+        FieldValue::F64(x) if x.is_finite() => {
+            let _ = write!(out, "{x}");
+        }
+        FieldValue::F64(_) => out.push_str("null"),
+        FieldValue::Str(s) => out.push_str(&json_string(s)),
+    }
 }
 
 /// A JSON string literal (quoted, escaped).
@@ -481,15 +528,15 @@ mod tests {
         // The thread buffer drains into the *global* store; pull the two
         // spans out of it and replay them into a private store to keep
         // this test independent of other tests' records.
-        let records = trace().snapshot(usize::MAX, Some(7));
+        let records = trace().snapshot(usize::MAX, |r| r.job() == Some(7));
         store.extend(records.iter().cloned());
-        let mine = store.snapshot(usize::MAX, Some(7));
+        let mine = store.snapshot(usize::MAX, |r| r.job() == Some(7));
         assert!(mine
             .iter()
             .any(|r| matches!(r, TraceRecord::Span(s) if s.name == "root" && s.id == root_id)));
 
         let child = trace()
-            .snapshot(usize::MAX, None)
+            .snapshot(usize::MAX, |_| true)
             .into_iter()
             .find_map(|r| match r {
                 TraceRecord::Span(s) if s.parent == root_id => Some(s),
@@ -517,17 +564,73 @@ mod tests {
             })]);
         }
         assert_eq!(store.dropped(), 3);
-        let records = store.snapshot(usize::MAX, None);
+        let records = store.snapshot(usize::MAX, |_| true);
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].ts_us(), 3, "oldest surviving record first");
-        store.set_capacity(1);
-        assert_eq!(store.dropped(), 4);
-        assert_eq!(store.capacity(), 1);
+    }
+
+    #[test]
+    fn each_view_takes_its_own_newest_records() {
+        let store = TraceStore::new(16);
+        for i in 0..6u64 {
+            store.extend([
+                TraceRecord::Event(Event {
+                    ts_us: 2 * i,
+                    ..Event::new("tick").job(i % 2)
+                }),
+                TraceRecord::Counter(CounterRecord {
+                    name: "c",
+                    tid: 1,
+                    job: Some(i % 2),
+                    ts_us: 2 * i + 1,
+                    series: Vec::new(),
+                }),
+            ]);
+        }
+        let events = store.snapshot(2, TraceRecord::is_event);
+        assert_eq!(
+            events.iter().map(TraceRecord::ts_us).collect::<Vec<_>>(),
+            vec![8, 10],
+            "newest events, oldest first, though counters are newer"
+        );
+        let job0 = store.snapshot(usize::MAX, |r| !r.is_event() && r.job() == Some(0));
+        assert_eq!(
+            job0.iter().map(TraceRecord::ts_us).collect::<Vec<_>>(),
+            vec![1, 5, 9]
+        );
+    }
+
+    #[test]
+    fn racing_events_are_stored_in_timestamp_order() {
+        const JOB: u64 = 0x0e7e_0e7e;
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for thread in 0..4u64 {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..500u64 {
+                        record_event(
+                            Event::new("race")
+                                .job(JOB)
+                                .field("thread", thread)
+                                .field("i", i),
+                        );
+                    }
+                });
+            }
+        });
+        let records = trace().snapshot(usize::MAX, |r| r.is_event() && r.job() == Some(JOB));
+        assert_eq!(records.len(), 2000);
+        assert!(
+            records.windows(2).all(|w| w[0].ts_us() <= w[1].ts_us()),
+            "the event view is oldest first"
+        );
     }
 
     #[test]
     fn chrome_export_is_a_sorted_array_with_required_keys() {
-        let records = vec![
+        let mut records = vec![
             TraceRecord::Counter(CounterRecord {
                 name: "worker_utilization",
                 tid: 3,
@@ -550,8 +653,23 @@ mod tests {
                 ],
             }),
         ];
+        records.push(TraceRecord::Event(Event {
+            ts_us: 950,
+            ..Event::new("job_done").job(1).field("state", "done")
+        }));
+        records.push(TraceRecord::Event(Event {
+            ts_us: 960,
+            ..Event::new("drain_begin").field("running", 0u64)
+        }));
         let json = chrome_trace_json(&records);
         assert!(json.starts_with('[') && json.ends_with(']'));
+        assert!(
+            json.contains(
+                "{\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":0,\"ts\":950,\"name\":\"job_done\",\"cat\":\"event\",\"args\":{\"job\":1,\"state\":\"done\"}}"
+            ),
+            "{json}"
+        );
+        assert!(json.contains("\"args\":{\"running\":0}"), "{json}");
         // Sorted by ts: the span (ts 100) precedes the counter (ts 900).
         let span_at = json.find("\"ph\":\"X\"").expect("span event");
         let counter_at = json.find("\"ph\":\"C\"").expect("counter event");
@@ -571,7 +689,7 @@ mod tests {
         assert!(id > 0);
         record_counter("u", Some(42), vec![("busy_us", 1.0)]);
         flush_thread();
-        let records = trace().snapshot(usize::MAX, Some(42));
+        let records = trace().snapshot(usize::MAX, |r| r.job() == Some(42));
         assert!(records
             .iter()
             .any(|r| matches!(r, TraceRecord::Span(s) if s.id == id && s.dur_us == 5)));

@@ -604,7 +604,7 @@ fn run(
                 println!("{event}");
             }
             if dropped > 0 {
-                eprintln!("({dropped} older event(s) dropped by the ring buffer)");
+                eprintln!("({dropped} older record(s) dropped by the trace store)");
             }
         }
         "trace" => {

@@ -43,14 +43,12 @@ options:
                              trigger graceful shutdown by closing the daemon's stdin
   --metrics-addr HOST:PORT   serve the Prometheus text exposition on this address (the
                              'metrics' wire frame works without it; port 0 = ephemeral)
-  --event-buffer N           capacity of the structured-event ring buffer (default 1024;
-                             overflow drops the oldest events and counts them)
   --alert-queue-depth N      queue-depth level (total queued jobs) above which the
                              scheduler_queue_saturated alert arms (default 8)
   --alert-hold-seconds S     seconds the queue must stay saturated before the alert fires
                              (default 5; 0 = fire on the first saturated evaluation)
-  --alert-drop-rate R        event-ring drop rate (events/second) above which the
-                             event_ring_dropping alert fires (default 0 = any drops)
+  --alert-drop-rate R        trace-store drop rate (records/second) above which the
+                             trace_store_dropping alert fires (default 0 = any drops)
   --help                     print this help
 
 Scheduling: submitted jobs carry a priority class (low/normal/high); dispatch is strict
@@ -138,13 +136,6 @@ fn main() {
             }
             "--drain-on-stdin" => drain_on_stdin = true,
             "--metrics-addr" => config.metrics_addr = Some(value(&mut i, "--metrics-addr")),
-            "--event-buffer" => {
-                let n = unsigned(&mut i, "--event-buffer");
-                if n == 0 {
-                    fail("--event-buffer must be at least 1");
-                }
-                config.event_buffer = Some(n);
-            }
             "--alert-queue-depth" => {
                 config.alert_queue_depth = nonnegative(&argv, &mut i, "--alert-queue-depth")
             }

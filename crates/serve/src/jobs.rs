@@ -343,7 +343,7 @@ impl Inner {
             let metrics = sfi_obs::metrics();
             metrics.sched_evictions.inc();
             metrics.sched_evicted_bytes.add(released as u64);
-            sfi_obs::events().push(
+            sfi_obs::record_event(
                 Event::new("result_evicted")
                     .job(id)
                     .field("bytes", released),
@@ -560,7 +560,7 @@ impl JobTable {
         inner.queues[priority.index()].push_back(id);
         sfi_obs::metrics().sched_jobs_submitted.inc();
         inner.sync_gauges();
-        sfi_obs::events().push(
+        sfi_obs::record_event(
             Event::new("job_submitted")
                 .job(id)
                 .field("priority", priority.as_str())
@@ -624,7 +624,7 @@ impl JobTable {
                 queue.retain(|&q| q != id);
             }
             inner.sync_gauges();
-            sfi_obs::events().push(Event::new("job_cancelled").job(id).field("state", "queued"));
+            sfi_obs::record_event(Event::new("job_cancelled").job(id).field("state", "queued"));
         }
         self.update.notify_all();
         true
@@ -665,7 +665,7 @@ impl JobTable {
         if !inner.draining {
             inner.draining = true;
             sfi_obs::metrics().draining.set(1);
-            sfi_obs::events().push(
+            sfi_obs::record_event(
                 Event::new("drain_begin")
                     .field("running", inner.running.len())
                     .field(
@@ -790,7 +790,7 @@ impl JobTable {
         }
         inner.sync_gauges();
         sfi_obs::metrics().recovered_jobs.inc();
-        sfi_obs::events().push(
+        sfi_obs::record_event(
             Event::new("job_recovered")
                 .job(id)
                 .field("state", state.as_str())
@@ -965,7 +965,7 @@ fn pick(inner: &mut Inner, limits: &TableLimits, max_jobs: usize) -> Dispatch {
                 )],
             );
             sfi_obs::span::flush_thread();
-            sfi_obs::events().push(
+            sfi_obs::record_event(
                 Event::new("job_started")
                     .job(id)
                     .field("priority", entry.priority.as_str())
@@ -1178,7 +1178,7 @@ fn run_job(
                         requeue_class = Some(entry.priority.index());
                         preempted = true;
                         sfi_obs::metrics().sched_preemptions.inc();
-                        sfi_obs::events().push(
+                        sfi_obs::record_event(
                             Event::new("job_preempted")
                                 .job(id)
                                 .field("completed_cells", entry.cells.len()),
@@ -1235,7 +1235,7 @@ fn run_job(
                     ),
                 ],
             );
-            sfi_obs::events().push(
+            sfi_obs::record_event(
                 Event::new(match entry.state {
                     JobState::Done => "job_done",
                     JobState::Failed => "job_failed",

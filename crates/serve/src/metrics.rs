@@ -1,6 +1,7 @@
 //! The daemon's observability surface: JSON encodings of registry
-//! snapshots and event rings for the `metrics`/`events` wire frames, and
-//! the optional Prometheus text-exposition listener (`--metrics-addr`).
+//! snapshots and trace-store records for the `metrics`/`events`/`trace`
+//! wire frames, and the optional Prometheus text-exposition listener
+//! (`--metrics-addr`).
 //!
 //! The wire encoding follows the workspace JSON conventions: 64-bit
 //! integers travel as decimal strings (JSON numbers are doubles and lose
@@ -84,6 +85,23 @@ pub fn snapshot_to_json(snapshot: &Snapshot) -> Json {
     )])
 }
 
+/// Encodes named span args or event fields as one JSON object.
+fn fields_to_json(fields: &[(&'static str, FieldValue)]) -> Json {
+    Json::obj(
+        fields
+            .iter()
+            .map(|(name, value)| {
+                let encoded = match value {
+                    FieldValue::U64(v) => Json::Str(v.to_string()),
+                    FieldValue::F64(v) => Json::Num(*v),
+                    FieldValue::Str(v) => Json::Str(v.clone()),
+                };
+                (*name, encoded)
+            })
+            .collect::<Vec<_>>(),
+    )
+}
+
 /// Encodes one structured event: timestamp, kind, optional job/cell span
 /// ids, and the free-form fields.
 pub fn event_to_json(event: &Event) -> Json {
@@ -97,38 +115,19 @@ pub fn event_to_json(event: &Event) -> Json {
     if let Some(cell) = event.cell {
         pairs.push(("cell", Json::Str(cell.to_string())));
     }
-    pairs.push((
-        "fields",
-        Json::obj(
-            event
-                .fields
-                .iter()
-                .map(|(name, value)| {
-                    let encoded = match value {
-                        FieldValue::U64(v) => Json::Str(v.to_string()),
-                        FieldValue::F64(v) => Json::Num(*v),
-                        FieldValue::Str(v) => Json::Str(v.clone()),
-                    };
-                    (*name, encoded)
-                })
-                .collect::<Vec<_>>(),
-        ),
-    ));
+    pairs.push(("fields", fields_to_json(&event.fields)));
     Json::obj(pairs)
 }
 
-/// Encodes a batch of events (oldest first) as the `events` frame's
-/// `events` member.
-pub fn events_to_json(events: &[Event]) -> Json {
-    Json::Arr(events.iter().map(event_to_json).collect())
-}
-
-/// Encodes one trace record for the `trace` frame's `spans` member.
+/// Encodes one trace-store record.
 ///
-/// The `ph` member keeps the Chrome trace-event phase vocabulary (`"X"`
-/// complete span, `"C"` counter series) so clients can convert records to
-/// a `chrome://tracing` file mechanically; timestamps and span ids travel
-/// as decimal strings per the workspace u64 convention.
+/// Spans and counters (the `trace` frame's `spans` member) carry the
+/// Chrome trace-event phase vocabulary in `ph` (`"X"` complete span,
+/// `"C"` counter series) so clients can convert records to a
+/// `chrome://tracing` file mechanically; events (the `events` frame's
+/// `events` member) keep their own layout, [`event_to_json`].  Timestamps
+/// and span ids travel as decimal strings per the workspace u64
+/// convention.
 fn trace_record_to_json(record: &TraceRecord) -> Json {
     match record {
         TraceRecord::Span(span) => {
@@ -145,22 +144,7 @@ fn trace_record_to_json(record: &TraceRecord) -> Json {
             if let Some(job) = span.job {
                 pairs.push(("job", Json::Str(job.to_string())));
             }
-            pairs.push((
-                "args",
-                Json::obj(
-                    span.args
-                        .iter()
-                        .map(|(name, value)| {
-                            let encoded = match value {
-                                FieldValue::U64(v) => Json::Str(v.to_string()),
-                                FieldValue::F64(v) => Json::Num(*v),
-                                FieldValue::Str(v) => Json::Str(v.clone()),
-                            };
-                            (*name, encoded)
-                        })
-                        .collect::<Vec<_>>(),
-                ),
-            ));
+            pairs.push(("args", fields_to_json(&span.args)));
             Json::obj(pairs)
         }
         TraceRecord::Counter(counter) => {
@@ -185,11 +169,12 @@ fn trace_record_to_json(record: &TraceRecord) -> Json {
             ));
             Json::obj(pairs)
         }
+        TraceRecord::Event(event) => event_to_json(event),
     }
 }
 
-/// Encodes a batch of trace records (oldest first) as the `trace` frame's
-/// `spans` member.
+/// Encodes a batch of trace-store records (oldest first): the `trace`
+/// frame's `spans` member or the `events` frame's `events` member.
 pub fn trace_to_json(records: &[TraceRecord]) -> Json {
     Json::Arr(records.iter().map(trace_record_to_json).collect())
 }
@@ -234,7 +219,8 @@ pub fn alerts_to_json(statuses: &[AlertStatus]) -> Json {
 
 /// A minimal HTTP/1.x listener serving the daemon's observability routes:
 /// `GET /metrics` (Prometheus text exposition), `GET /healthz` (liveness
-/// JSON), `GET /trace` (Chrome trace-event JSON of the trace store) and
+/// JSON), `GET /trace` (Chrome trace-event JSON of the trace store's
+/// spans and counters) and
 /// `GET /alerts` (alert-rule statuses).  Unknown paths get 404, non-GET
 /// methods 405.
 ///
@@ -320,11 +306,19 @@ impl Read for DeadlineReader<'_> {
 /// The listener serves one connection at a time, so a silent or dripping
 /// peer would wedge every later scrape: the request head must arrive
 /// whole within [`REQUEST_DEADLINE`] and fit in [`MAX_REQUEST_BYTES`].
-/// A larger head gets `431` and the rest of it is left unread.
+/// A larger head gets `431` and the rest of it is left unread; a request
+/// line that is not UTF-8 gets `400`.
 fn serve_scrape(stream: TcpStream) -> io::Result<()> {
     stream.set_write_timeout(Some(REQUEST_DEADLINE))?;
     let (status, content_type, body) = match read_request_line(&stream)? {
-        Some(request_line) => route(&request_line),
+        Some(request_line) => match String::from_utf8(request_line) {
+            Ok(request_line) => route(&request_line),
+            Err(_) => (
+                "400 Bad Request",
+                "text/plain; charset=utf-8",
+                "request line is not UTF-8\n".to_string(),
+            ),
+        },
         None => (
             "431 Request Header Fields Too Large",
             "text/plain; charset=utf-8",
@@ -341,21 +335,21 @@ fn serve_scrape(stream: TcpStream) -> io::Result<()> {
     writer.flush()
 }
 
-/// Reads the request head and returns its first line, or `None` when the
-/// head does not fit in [`MAX_REQUEST_BYTES`].  The headers are drained up
-/// to the blank line; none of them affect routing.
-fn read_request_line(stream: &TcpStream) -> io::Result<Option<String>> {
+/// Reads the request head and returns its first line's bytes, or `None`
+/// when the head does not fit in [`MAX_REQUEST_BYTES`].  The headers are
+/// drained up to the blank line; none of them affect routing.
+fn read_request_line(stream: &TcpStream) -> io::Result<Option<Vec<u8>>> {
     let until = Instant::now() + REQUEST_DEADLINE;
     let mut reader = BufReader::new(DeadlineReader { stream, until }.take(MAX_REQUEST_BYTES));
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let mut request_line = Vec::new();
+    reader.read_until(b'\n', &mut request_line)?;
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        let mut line = Vec::new();
+        if reader.read_until(b'\n', &mut line)? == 0 {
             // End of input: the peer's, or the byte limit's.
             return Ok((reader.get_ref().limit() > 0).then_some(request_line));
         }
-        if line.trim().is_empty() {
+        if line.iter().all(u8::is_ascii_whitespace) {
             return Ok(Some(request_line));
         }
     }
@@ -385,7 +379,9 @@ fn route(request_line: &str) -> (&'static str, &'static str, String) {
             "/trace" => (
                 "200 OK",
                 "application/json",
-                sfi_obs::chrome_trace_json(&sfi_obs::span::trace().snapshot(usize::MAX, None)),
+                sfi_obs::chrome_trace_json(
+                    &sfi_obs::trace().snapshot(usize::MAX, |r| !r.is_event()),
+                ),
             ),
             "/alerts" => {
                 let statuses = sfi_obs::alerts::alerts().evaluate(&sfi_obs::metrics().snapshot());
@@ -482,7 +478,7 @@ mod tests {
             TraceRecord::Span(SpanRecord {
                 id: 9,
                 parent: 2,
-                name: "trial",
+                name: "cell",
                 cat: "engine",
                 tid: 3,
                 job: Some(7),
@@ -623,6 +619,90 @@ mod tests {
 
         let scrape = http_get(addr, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(scrape.starts_with("HTTP/1.1 200 OK\r\n"), "{scrape}");
+    }
+
+    /// Sends `head`, half-closes, and returns what came back: the empty
+    /// string when the listener closed (or reset) without answering.
+    fn send_head(addr: std::net::SocketAddr, head: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(15)))
+            .expect("timeout");
+        // The listener may answer and close before reading everything.
+        let _ = stream.write_all(head);
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let mut response = Vec::new();
+        let _ = stream.read_to_end(&mut response);
+        String::from_utf8_lossy(&response).into_owned()
+    }
+
+    #[test]
+    fn non_utf8_request_line_gets_400_and_the_listener_keeps_serving() {
+        let listener = PrometheusListener::start("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr();
+        let response = send_head(addr, &[0xff; 16]);
+        assert!(response.starts_with("HTTP/1.1 400 "), "{response:?}");
+        let response = send_head(addr, b"GET /\xffhealthz HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(response.starts_with("HTTP/1.1 400 "), "{response:?}");
+        let health = http_get(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.1 200 OK\r\n"), "{health}");
+    }
+
+    #[test]
+    fn random_request_heads_get_a_status_line_or_a_close() {
+        use rand::{Rng, SeedableRng};
+        let listener = PrometheusListener::start("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr();
+        let limit = MAX_REQUEST_BYTES as usize;
+        // A valid head padded with one header to exactly `len` bytes.
+        let padded = |len: usize| {
+            let mut head = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+            head.resize(len - 4, b'a');
+            head.extend_from_slice(b"\r\n\r\n");
+            head
+        };
+        let mut heads: Vec<Vec<u8>> = vec![
+            Vec::new(),
+            b"GET /healthz HTTP/1.1\r".to_vec(),
+            b"GET /healthz HTTP/1.1\rHost: x\r\r".to_vec(),
+            b"GET /healthz".to_vec(),
+            b"GET /heal\0thz HTTP/1.1\r\n\r\n".to_vec(),
+            b"\0\0\0\r\n\r\n".to_vec(),
+            b"GET /healthz HTTP/1.1\r\nX-Bytes: \xff\xfe\0\r\n\r\n".to_vec(),
+            padded(limit - 1),
+            padded(limit),
+            padded(limit + 1),
+            vec![0xff; limit + 1],
+            vec![b'\r'; limit],
+        ];
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x4ead);
+        let alphabet = b"GET /healthz\r\n\0\xff\xc3: ";
+        for _ in 0..48 {
+            let len = rng.gen_range(0..96usize);
+            heads.push(
+                (0..len)
+                    .map(|_| {
+                        if rng.gen_bool(0.7) {
+                            alphabet[rng.gen_range(0..alphabet.len())]
+                        } else {
+                            rng.gen_range(0..=255u8)
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        for head in &heads {
+            let response = send_head(addr, head);
+            assert!(
+                response.is_empty()
+                    || response.starts_with("HTTP/1.1 2")
+                    || response.starts_with("HTTP/1.1 4"),
+                "head {:?} got {response:?}",
+                String::from_utf8_lossy(&head[..head.len().min(64)])
+            );
+        }
+        let health = http_get(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.1 200 OK\r\n"), "{health}");
     }
 
     #[test]

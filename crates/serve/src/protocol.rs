@@ -337,7 +337,7 @@ pub enum Request {
     Poff(PoffRequest),
     /// Fetch a snapshot of the daemon's metrics registry.
     Metrics,
-    /// Fetch recent structured events from the daemon's event ring.
+    /// Fetch recent structured events from the daemon's trace store.
     Events {
         /// Maximum events to return (absent = the daemon default, 100).
         limit: Option<u64>,
@@ -570,9 +570,6 @@ pub struct ServerInfo {
     pub preemptions_total: u64,
     /// Retained results evicted under the byte cap since daemon start.
     pub evictions_total: u64,
-    /// Events discarded from the bounded in-memory ring since daemon
-    /// start (also exported as `sfi_events_dropped_total`).
-    pub events_dropped_total: u64,
     /// Whether the daemon is draining: running jobs finish but new
     /// submissions are refused with the `draining` error code.
     pub draining: bool,
@@ -620,10 +617,6 @@ impl ServerInfo {
                 Json::Num(self.preemptions_total as f64),
             ),
             ("evictions_total", Json::Num(self.evictions_total as f64)),
-            (
-                "events_dropped_total",
-                Json::Num(self.events_dropped_total as f64),
-            ),
             ("draining", Json::Bool(self.draining)),
         ])
     }
@@ -668,10 +661,6 @@ impl ServerInfo {
                 .unwrap_or(0),
             evictions_total: value
                 .get("evictions_total")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            events_dropped_total: value
-                .get("events_dropped_total")
                 .and_then(Json::as_u64)
                 .unwrap_or(0),
             draining: value
@@ -763,10 +752,11 @@ pub enum Response {
     Events {
         /// The event documents, oldest first.
         events: Json,
-        /// Events discarded because the ring overflowed (cumulative).
+        /// Records of any kind discarded because the trace store
+        /// overflowed (cumulative).
         dropped: u64,
     },
-    /// Reply to `trace`: recent trace records, oldest first.
+    /// Reply to `trace`: recent span and counter records, oldest first.
     ///
     /// The record documents are carried verbatim (see
     /// `crate::metrics::trace_to_json` for their layout) so the frame
@@ -774,7 +764,8 @@ pub enum Response {
     Trace {
         /// The trace record documents, oldest first.
         spans: Json,
-        /// Records discarded because the store overflowed (cumulative).
+        /// Records of any kind discarded because the store overflowed
+        /// (cumulative).
         dropped: u64,
     },
     /// Reply to `alerts`: one status document per installed rule.
@@ -1224,7 +1215,6 @@ mod tests {
                 metrics_enabled: true,
                 preemptions_total: 4,
                 evictions_total: 1,
-                events_dropped_total: 2,
                 draining: true,
             }),
             Response::Submitted {
@@ -1293,7 +1283,7 @@ mod tests {
                 spans: Json::Arr(vec![Json::obj([
                     ("cat", Json::Str("engine".into())),
                     ("dur_us", Json::Str("42".into())),
-                    ("name", Json::Str("trial".into())),
+                    ("name", Json::Str("cell".into())),
                     ("ph", Json::Str("X".into())),
                     ("tid", Json::Num(2.0)),
                     ("ts_us", Json::Str("12".into())),

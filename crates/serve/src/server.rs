@@ -69,17 +69,14 @@ pub struct ServeConfig {
     /// Address for the Prometheus text-exposition listener (`None` = no
     /// listener; the `metrics` wire frame works either way).
     pub metrics_addr: Option<String>,
-    /// Capacity of the structured-event ring (`None` = keep the default,
-    /// [`sfi_obs::DEFAULT_EVENT_CAPACITY`]).
-    pub event_buffer: Option<usize>,
     /// Queue-depth gauge level (total queued jobs, all priorities) above
     /// which the `scheduler_queue_saturated` alert arms.
     pub alert_queue_depth: f64,
     /// Seconds the queue depth must stay above the limit before the alert
     /// fires (0 = fire on the first saturated evaluation).
     pub alert_hold_seconds: f64,
-    /// Event-ring drop rate (events per second) above which the
-    /// `event_ring_dropping` alert fires (0 = fire on any drops).
+    /// Trace-store drop rate (records per second) above which the
+    /// `trace_store_dropping` alert fires (0 = fire on any drops).
     pub alert_drop_rate: f64,
     /// Suppress the startup log lines.
     pub quiet: bool,
@@ -101,7 +98,6 @@ impl Default for ServeConfig {
             conn_timeout_seconds: 300.0,
             max_connections: None,
             metrics_addr: None,
-            event_buffer: None,
             alert_queue_depth: 8.0,
             alert_hold_seconds: 5.0,
             alert_drop_rate: 0.0,
@@ -189,9 +185,6 @@ impl Server {
             sfi_obs::metrics().cache_hits.inc();
         } else {
             sfi_obs::metrics().cache_misses.inc();
-        }
-        if let Some(capacity) = config.event_buffer {
-            sfi_obs::events().set_capacity(capacity);
         }
         sfi_obs::alerts::alerts().install(sfi_obs::default_rules(
             config.alert_queue_depth,
@@ -495,7 +488,6 @@ fn handle_connection(
                     metrics_enabled: context.metrics_enabled,
                     preemptions_total: totals.preemptions,
                     evictions_total: totals.evictions,
-                    events_dropped_total: sfi_obs::events().dropped(),
                     draining: context.table.draining(),
                 };
                 reply(&mut writer, &Response::Pong(info))?;
@@ -622,14 +614,15 @@ fn handle_connection(
                 reply(&mut writer, &Response::Metrics { snapshot })?;
             }
             Request::Events { limit, job } => {
-                let ring = sfi_obs::events();
+                let store = sfi_obs::trace();
                 let limit = limit.unwrap_or(DEFAULT_EVENT_LIMIT) as usize;
-                let events = ring.recent(limit, job);
+                let records =
+                    store.snapshot(limit, |r| r.is_event() && (job.is_none() || r.job() == job));
                 reply(
                     &mut writer,
                     &Response::Events {
-                        events: metrics::events_to_json(&events),
-                        dropped: ring.dropped(),
+                        events: metrics::trace_to_json(&records),
+                        dropped: store.dropped(),
                     },
                 )?;
             }
@@ -637,9 +630,11 @@ fn handle_connection(
                 // Handler threads may hold un-flushed span buffers; flush
                 // this one so its own frames are visible, then snapshot.
                 sfi_obs::span::flush_thread();
-                let store = sfi_obs::span::trace();
+                let store = sfi_obs::trace();
                 let limit = limit.unwrap_or(DEFAULT_TRACE_LIMIT) as usize;
-                let records = store.snapshot(limit, job);
+                let records = store.snapshot(limit, |r| {
+                    !r.is_event() && (job.is_none() || r.job() == job)
+                });
                 reply(
                     &mut writer,
                     &Response::Trace {

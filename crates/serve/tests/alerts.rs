@@ -1,6 +1,6 @@
 //! Loopback tests for the tracing/alerting surface: a queue-depth alert
 //! that demonstrably fires and resolves, and a `trace` frame carrying
-//! job-lifecycle, cell and trial spans.
+//! job-lifecycle, campaign and cell spans.
 //!
 //! These tests live in their own test binary (= their own process): the
 //! alert engine and trace store are process-global singletons, and the
@@ -190,7 +190,6 @@ fn trace_frame_carries_lifecycle_and_engine_spans() {
         "job_lifetime",
         "campaign",
         "cell",
-        "trial",
     ] {
         assert!(
             names.contains(&expected),
@@ -211,7 +210,7 @@ fn trace_frame_carries_lifecycle_and_engine_spans() {
         assert!(ph == "X" || ph == "C", "known phase: {record}");
         assert!(record.get("ts_us").and_then(Json::as_u64).is_some());
     }
-    // Span records nest: this campaign's trial spans parent to its
+    // Span records nest: this campaign's cell spans parent to its
     // campaign span.  (Anchor on the campaign name — the global store may
     // hold records from other jobs that reused the same numeric id.)
     let campaign_id = records
@@ -228,10 +227,10 @@ fn trace_frame_carries_lifecycle_and_engine_spans() {
         .expect("campaign span id");
     assert!(
         records.iter().any(|r| {
-            r.get("name").and_then(Json::as_str) == Some("trial")
+            r.get("name").and_then(Json::as_str) == Some("cell")
                 && r.get("parent").and_then(Json::as_u64) == Some(campaign_id)
         }),
-        "trial spans parent to the campaign span"
+        "cell spans parent to the campaign span"
     );
 
     // The limit knob caps the fetch.

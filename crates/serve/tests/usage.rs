@@ -38,7 +38,6 @@ fn sfi_serve_help_mentions_every_accepted_flag() {
         "--max-connections",
         "--drain-on-stdin",
         "--metrics-addr",
-        "--event-buffer",
         "--alert-queue-depth",
         "--alert-hold-seconds",
         "--alert-drop-rate",

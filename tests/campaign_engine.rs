@@ -566,3 +566,45 @@ fn zero_cell_campaign_completes() {
     assert!(result.cells.is_empty());
     assert_eq!(result.metrics.executed_trials, 0);
 }
+
+#[test]
+fn traced_campaign_records_scale_with_cells_not_trials() {
+    const JOB: u64 = 0x7ace_5ca1;
+    const WORKERS: usize = 2;
+    let study = fast_study();
+    let sta = study.sta_limit_mhz(0.7);
+    let mut spec = CampaignSpec::new("trace-scale", 11);
+    let median = spec.add_benchmark(MedianBenchmark::new(5, 3));
+    let points: Vec<OperatingPoint> = [0.9, 1.1]
+        .iter()
+        .map(|o| OperatingPoint::new(sta * o, 0.7))
+        .collect();
+    spec.add_grid(
+        &[median],
+        &[FaultModel::StatisticalDta],
+        &points,
+        TrialBudget::fixed(1_000),
+    );
+    let result = CampaignEngine::new()
+        .with_threads(WORKERS)
+        .with_trace_job(JOB)
+        .run(&study, &spec);
+    assert_eq!(result.metrics.executed_trials, 2_000);
+
+    let records = sfi_obs::trace().snapshot(usize::MAX, |r| r.job() == Some(JOB));
+    assert!(
+        records.len() <= 1 + spec.cells().len() + WORKERS,
+        "one campaign span, one span per cell and one counter per worker, \
+         not one record per trial: {} records",
+        records.len()
+    );
+    let names: Vec<&str> = records
+        .iter()
+        .filter_map(|record| match record {
+            sfi_obs::TraceRecord::Span(span) => Some(span.name),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(names.iter().filter(|&&name| name == "cell").count(), 2);
+    assert!(names.contains(&"campaign"), "{names:?}");
+}
