@@ -1,5 +1,6 @@
 //! Criterion benches of the simulation substrates: gate-level DTA
-//! throughput, STA, ISS execution speed, the model-C injector
+//! throughput (one vector, and the paper study's whole batched
+//! characterization), STA, ISS execution speed, the model-C injector
 //! (construction and per-cycle injection over the flattened fault table)
 //! and the model-B+ injector's per-cycle injection.
 
@@ -11,7 +12,10 @@ use sfi_isa::AluClass;
 use sfi_kernels::{crc32::Crc32Benchmark, median::MedianBenchmark, Benchmark};
 use sfi_netlist::alu::{AluDatapath, AluOp};
 use sfi_netlist::{DelayModel, VoltageScaling};
-use sfi_timing::{DynamicTimingAnalysis, StaticTimingAnalysis};
+use sfi_timing::{
+    characterization_workers, characterize_alu_batch, CharacterizationConfig,
+    DynamicTimingAnalysis, OperandDistribution, StaticTimingAnalysis,
+};
 
 fn bench_dta(c: &mut Criterion) {
     let alu = AluDatapath::build(32);
@@ -24,6 +28,33 @@ fn bench_dta(c: &mut Criterion) {
     let inputs = alu.encode_inputs(AluOp::Mul, 0xDEAD_BEEF, 0x1234_5678);
     c.bench_function("dta_analyze_32bit_alu_vector", |b| {
         b.iter(|| dta.analyze(&inputs))
+    });
+
+    // The characterization layer of a cold paper study build: every
+    // configured voltage in one batched pass, on the study's worker count.
+    let study = CaseStudy::build(CaseStudyConfig::paper());
+    let config = study.config();
+    let configs: Vec<CharacterizationConfig> = config
+        .voltages
+        .iter()
+        .map(|&vdd| CharacterizationConfig {
+            cycles_per_op: config.cycles_per_op,
+            vdd,
+            seed: config.seed,
+            operands: OperandDistribution::UniformFull,
+        })
+        .collect();
+    c.bench_function("characterize_paper_all_voltages", |b| {
+        b.iter(|| {
+            characterize_alu_batch(
+                study.alu(),
+                study.delay_model(),
+                study.voltage_scaling(),
+                &configs,
+                Some(study.node_multipliers()),
+                characterization_workers(),
+            )
+        })
     });
 }
 

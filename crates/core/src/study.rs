@@ -8,7 +8,7 @@ use sfi_fault::{
 use sfi_netlist::alu::AluDatapath;
 use sfi_netlist::{DelayModel, VoltageScaling};
 use sfi_timing::{
-    calibrate_delay_model_with_multipliers, characterize_alu_with_multipliers,
+    calibrate_delay_model_with_multipliers, characterization_workers, characterize_alu_batch,
     synthesis_node_multipliers, CharacterizationConfig, OperandDistribution, StaticTimingAnalysis,
     TimingCharacterization, UnitBudgets, VddDelayCurve,
 };
@@ -123,8 +123,9 @@ impl VoltageData {
 impl CaseStudy {
     /// Builds and characterizes the case study.
     ///
-    /// This is the expensive step of the flow (it runs the gate-level DTA
-    /// kernel once per instruction and voltage); everything downstream
+    /// This is the expensive step of the flow: one batched gate-level DTA
+    /// pass over every instruction and configured voltage
+    /// ([`sfi_timing::characterize_alu_batch`]); everything downstream
     /// reuses the extracted CDFs.
     ///
     /// # Panics
@@ -189,31 +190,33 @@ impl CaseStudy {
         };
         let cache_hit = restored.is_some();
         let characterizations = restored.unwrap_or_else(|| {
-            let chars: Vec<(f64, TimingCharacterization)> = config
+            let configs: Vec<CharacterizationConfig> = config
                 .voltages
                 .iter()
-                .map(|&vdd| {
-                    let _span = build_span
-                        .child("characterize_voltage", "core")
-                        .arg("vdd_mv", (vdd * 1000.0).round() as u64);
-                    let cfg = CharacterizationConfig {
-                        cycles_per_op: config.cycles_per_op,
-                        vdd,
-                        seed: config.seed,
-                        operands: OperandDistribution::UniformFull,
-                    };
-                    (
-                        vdd,
-                        characterize_alu_with_multipliers(
-                            &alu,
-                            &delays,
-                            &scaling,
-                            &cfg,
-                            Some(&node_multipliers),
-                        ),
-                    )
+                .map(|&vdd| CharacterizationConfig {
+                    cycles_per_op: config.cycles_per_op,
+                    vdd,
+                    seed: config.seed,
+                    operands: OperandDistribution::UniformFull,
                 })
                 .collect();
+            let workers = characterization_workers();
+            let batch = {
+                let _span = build_span
+                    .child("characterize", "core")
+                    .arg("voltages", configs.len() as u64)
+                    .arg("workers", workers as u64);
+                characterize_alu_batch(
+                    &alu,
+                    &delays,
+                    &scaling,
+                    &configs,
+                    Some(&node_multipliers),
+                    workers,
+                )
+            };
+            let chars: Vec<(f64, TimingCharacterization)> =
+                batch.into_iter().map(|ch| (ch.vdd(), ch)).collect();
             if let Some(dir) = cache_dir {
                 if let Err(err) = crate::cache::store(dir, &config, &chars) {
                     eprintln!("warning: failed to write characterization cache: {err}");

@@ -9,7 +9,7 @@
 //! faults that the ISS injects.
 
 use crate::adder::add_sub;
-use crate::builder::{and_reduce, from_bits, to_bits};
+use crate::builder::{and_reduce, from_bits};
 use crate::comparator::comparator;
 use crate::logic::{and_word, or_word, xor_word};
 use crate::multiplier::wallace_multiplier;
@@ -388,10 +388,41 @@ impl AluDatapath {
     /// Encodes a primary-input assignment for the given operation and
     /// operand values (operands are truncated to the datapath width).
     pub fn encode_inputs(&self, op: AluOp, a: u64, b: u64) -> Vec<bool> {
-        let mut inputs = to_bits(a, self.width);
-        inputs.extend(to_bits(b, self.width));
-        inputs.extend(to_bits(op.code() as u64, OP_SELECT_BITS));
-        inputs
+        let mut words = vec![0u64; self.netlist.input_count()];
+        self.encode_input_words(op, &[(a, b)], &mut words);
+        words.iter().map(|w| w & 1 == 1).collect()
+    }
+
+    /// Bit-sliced [`AluDatapath::encode_inputs`] for up to 64 operand pairs
+    /// at once: bit `l` of `words[i]` is primary input `i` of the vector
+    /// `(op, operands[l])`.  The operation select bits are set in every
+    /// lane, including lanes beyond `operands.len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than 64 operand pairs are given or `words` does not
+    /// hold one word per primary input.
+    pub fn encode_input_words(&self, op: AluOp, operands: &[(u64, u64)], words: &mut [u64]) {
+        assert!(operands.len() <= 64, "at most 64 lanes per word");
+        assert_eq!(
+            words.len(),
+            self.netlist.input_count(),
+            "need one word per primary input"
+        );
+        let (a_words, rest) = words.split_at_mut(self.width);
+        let (b_words, op_words) = rest.split_at_mut(self.width);
+        for (i, (wa, wb)) in a_words.iter_mut().zip(b_words).enumerate() {
+            let (mut x, mut y) = (0u64, 0u64);
+            for (l, &(a, b)) in operands.iter().enumerate() {
+                x |= ((a >> i) & 1) << l;
+                y |= ((b >> i) & 1) << l;
+            }
+            *wa = x;
+            *wb = y;
+        }
+        for (i, w) in op_words.iter_mut().enumerate() {
+            *w = 0u64.wrapping_sub((op.code() as u64 >> i) & 1);
+        }
     }
 
     /// Evaluates the datapath and returns the numeric result value.
@@ -407,6 +438,7 @@ impl AluDatapath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::to_bits;
 
     #[test]
     fn op_codes_roundtrip() {
@@ -466,6 +498,24 @@ mod tests {
                 let got = alu.evaluate_result(&inputs);
                 let expect = op.reference(a, b, 16);
                 assert_eq!(got, expect, "{op} a={a:#x} b={b:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn input_words_are_bit_sliced_little_endian_vectors() {
+        let alu = AluDatapath::build(8);
+        let operands: Vec<(u64, u64)> =
+            (0..64u64).map(|l| (l * 37 + 5, 0x1FF ^ (l * 11))).collect();
+        for lanes in [1, 7, 64] {
+            let mut words = vec![0u64; alu.netlist().input_count()];
+            alu.encode_input_words(AluOp::SfLts, &operands[..lanes], &mut words);
+            for (l, &(a, b)) in operands[..lanes].iter().enumerate() {
+                let mut expect = to_bits(a, 8);
+                expect.extend(to_bits(b, 8));
+                expect.extend(to_bits(AluOp::SfLts.code() as u64, OP_SELECT_BITS));
+                let got: Vec<bool> = words.iter().map(|w| (w >> l) & 1 == 1).collect();
+                assert_eq!(got, expect, "lane {l} of {lanes}");
             }
         }
     }

@@ -74,6 +74,30 @@ impl GateKind {
         }
     }
 
+    /// Bit-sliced [`GateKind::eval`]: bit `l` of the result is the gate
+    /// function of bit `l` of `a` and `b`, so one call evaluates up to 64
+    /// independent input vectors.  Sources return `a` (inputs) or their
+    /// constant in every bit.
+    ///
+    /// ```
+    /// use sfi_netlist::gate::GateKind;
+    ///
+    /// assert_eq!(GateKind::Nand2.eval_word(0b1100, 0b1010) & 0b1111, 0b0111);
+    /// ```
+    pub fn eval_word(self, a: u64, b: u64) -> u64 {
+        match self {
+            GateKind::Input | GateKind::Buf => a,
+            GateKind::Const(v) => 0u64.wrapping_sub(v as u64),
+            GateKind::Not => !a,
+            GateKind::And2 => a & b,
+            GateKind::Nand2 => !(a & b),
+            GateKind::Or2 => a | b,
+            GateKind::Nor2 => !(a | b),
+            GateKind::Xor2 => a ^ b,
+            GateKind::Xnor2 => !(a ^ b),
+        }
+    }
+
     /// Returns the *controlling value* of the gate, i.e. the input value
     /// that determines the output regardless of the other input, if one
     /// exists.
@@ -186,6 +210,32 @@ mod tests {
                 let a = i & 1 != 0;
                 let b = i & 2 != 0;
                 assert_eq!(kind.eval(a, b), e, "{kind} a={a} b={b}");
+            }
+        }
+    }
+
+    #[test]
+    fn eval_word_is_bitwise_eval() {
+        let kinds = [
+            GateKind::Input,
+            GateKind::Const(false),
+            GateKind::Const(true),
+            GateKind::Buf,
+            GateKind::Not,
+            GateKind::And2,
+            GateKind::Nand2,
+            GateKind::Or2,
+            GateKind::Nor2,
+            GateKind::Xor2,
+            GateKind::Xnor2,
+        ];
+        // Lanes 0..4 enumerate every (a, b) pair.
+        let (a, b) = (0b1010u64, 0b1100u64);
+        for kind in kinds {
+            let word = kind.eval_word(a, b);
+            for l in 0..4 {
+                let bit = |w: u64| (w >> l) & 1 == 1;
+                assert_eq!(bit(word), kind.eval(bit(a), bit(b)), "{kind} lane {l}");
             }
         }
     }

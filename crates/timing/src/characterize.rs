@@ -7,7 +7,7 @@
 //! (`P_{E,V,I}(f)` in the paper's notation).
 
 use crate::cdf::ErrorCdf;
-use crate::dta::DynamicTimingAnalysis;
+use crate::dta::{DtaBatch, DynamicTimingAnalysis, LANES};
 use crate::sta::StaticTimingAnalysis;
 use crate::units::freq_mhz_to_period_ps;
 use rand::rngs::SmallRng;
@@ -251,46 +251,160 @@ pub fn characterize_alu_with_multipliers(
     config: &CharacterizationConfig,
     node_multipliers: Option<&[f64]>,
 ) -> TimingCharacterization {
-    assert!(config.cycles_per_op > 0, "cycles_per_op must be non-zero");
-    let dta = DynamicTimingAnalysis::new_with_multipliers(
-        alu.netlist(),
+    let mut chars = characterize_alu_batch(
+        alu,
         delays,
         scaling,
-        config.vdd,
+        std::slice::from_ref(config),
         node_multipliers,
+        characterization_workers(),
     );
-    let sta = StaticTimingAnalysis::run_with_multipliers(
-        alu.netlist(),
-        delays,
-        scaling,
-        config.vdd,
-        node_multipliers,
-    );
-    let width = alu.width();
-    let mut rng = SmallRng::seed_from_u64(config.seed);
+    chars.pop().expect("one characterization per config")
+}
 
-    let mut cdfs: Vec<Vec<ErrorCdf>> = Vec::with_capacity(AluOp::ALL.len());
-    for op in AluOp::ALL {
-        let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(config.cycles_per_op); width];
-        for _ in 0..config.cycles_per_op {
-            let a = config.operands.sample(&mut rng, width);
-            let b = config.operands.sample(&mut rng, width);
-            let inputs = alu.encode_inputs(op, a, b);
-            let result = dta.analyze(&inputs);
-            for (endpoint, delay) in result.output_delays_ps.iter().enumerate() {
-                samples[endpoint].push(*delay);
+/// Worker threads for [`characterize_alu_batch`] on this host: the
+/// available parallelism, capped at two — the count the kernel was sized
+/// and measured with, which already brings a cold paper-study build to a
+/// fraction of its serial cost.
+pub fn characterization_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(2))
+}
+
+/// Characterizes the ALU at several operating points in one batched pass
+/// of the [`DtaBatch`] kernel, returning one [`TimingCharacterization`]
+/// per entry of `configs`, in order.
+///
+/// The configurations may differ only in `vdd`: every voltage analyses the
+/// same operand vectors, so logic values are computed once and each gate
+/// carries one arrival lane block per voltage.  The operands are drawn up
+/// front in the per-instruction order of a one-voltage run, and each
+/// (instruction, lane chunk) work item writes a fixed slot of the sample
+/// vectors, so the result is bit-identical for any `workers` count and to
+/// characterizing each voltage on its own.
+///
+/// # Panics
+///
+/// Panics if `configs` is empty, if they differ in anything but `vdd`, if
+/// `cycles_per_op` is zero, if a voltage is not above the threshold of
+/// `scaling`, or if the multiplier slice does not match the netlist.
+pub fn characterize_alu_batch(
+    alu: &AluDatapath,
+    delays: &DelayModel,
+    scaling: &VoltageScaling,
+    configs: &[CharacterizationConfig],
+    node_multipliers: Option<&[f64]>,
+    workers: usize,
+) -> Vec<TimingCharacterization> {
+    let first = *configs.first().expect("at least one configuration");
+    assert!(first.cycles_per_op > 0, "cycles_per_op must be non-zero");
+    assert!(
+        configs.iter().all(|c| CharacterizationConfig {
+            vdd: first.vdd,
+            ..*c
+        } == first),
+        "batched configurations may differ only in vdd"
+    );
+    let engines: Vec<DynamicTimingAnalysis> = configs
+        .iter()
+        .map(|c| {
+            DynamicTimingAnalysis::new_with_multipliers(
+                alu.netlist(),
+                delays,
+                scaling,
+                c.vdd,
+                node_multipliers,
+            )
+        })
+        .collect();
+    let engines: Vec<&DynamicTimingAnalysis> = engines.iter().collect();
+    let (width, cycles, ops) = (alu.width(), first.cycles_per_op, AluOp::ALL.len());
+
+    let mut rng = SmallRng::seed_from_u64(first.seed);
+    let operands: Vec<(u64, u64)> = (0..ops * cycles)
+        .map(|_| {
+            let a = first.operands.sample(&mut rng, width);
+            let b = first.operands.sample(&mut rng, width);
+            (a, b)
+        })
+        .collect();
+
+    // samples[(voltage * ops + op) * width + endpoint][cycle]; worker `w`
+    // owns cycles bounds[w]..bounds[w + 1] of every vector.
+    let mut samples = vec![vec![0.0f64; cycles]; configs.len() * ops * width];
+    let chunks = cycles.div_ceil(LANES);
+    let workers = workers.clamp(1, chunks);
+    let bounds: Vec<usize> = (0..=workers)
+        .map(|w| (w * chunks / workers * LANES).min(cycles))
+        .collect();
+    let mut shares: Vec<Vec<&mut [f64]>> = (0..workers).map(|_| Vec::new()).collect();
+    for vector in &mut samples {
+        let mut rest = vector.as_mut_slice();
+        for (w, share) in shares.iter_mut().enumerate() {
+            let (mine, tail) = rest.split_at_mut(bounds[w + 1] - bounds[w]);
+            share.push(mine);
+            rest = tail;
+        }
+    }
+    let work = |w: usize, mut share: Vec<&mut [f64]>| {
+        let mut batch: DtaBatch = DtaBatch::new(&engines);
+        let mut words = vec![0u64; alu.netlist().input_count()];
+        for (o, op) in AluOp::ALL.into_iter().enumerate() {
+            for start in (bounds[w]..bounds[w + 1]).step_by(LANES) {
+                let end = (start + LANES).min(bounds[w + 1]);
+                alu.encode_input_words(
+                    op,
+                    &operands[o * cycles + start..o * cycles + end],
+                    &mut words,
+                );
+                batch.run(&words);
+                for v in 0..engines.len() {
+                    for e in 0..width {
+                        let lanes = batch.output_delays_ps(e, v);
+                        let slot = &mut share[(v * ops + o) * width + e][start - bounds[w]..];
+                        slot[..end - start].copy_from_slice(&lanes[..end - start]);
+                    }
+                }
             }
         }
-        cdfs.push(samples.into_iter().map(ErrorCdf::from_samples).collect());
-    }
+    };
+    std::thread::scope(|scope| {
+        let mut shares = shares.into_iter().enumerate();
+        let own = shares.next().expect("at least one worker");
+        for (w, share) in shares {
+            scope.spawn(move || work(w, share));
+        }
+        work(own.0, own.1);
+    });
 
-    TimingCharacterization {
-        vdd: config.vdd,
-        width,
-        cycles_per_op: config.cycles_per_op,
-        cdfs,
-        sta_endpoint_delays_ps: sta.endpoint_delays().to_vec(),
-    }
+    let mut samples = samples.into_iter();
+    configs
+        .iter()
+        .map(|config| {
+            let sta = StaticTimingAnalysis::run_with_multipliers(
+                alu.netlist(),
+                delays,
+                scaling,
+                config.vdd,
+                node_multipliers,
+            );
+            let cdfs = (0..ops)
+                .map(|_| {
+                    samples
+                        .by_ref()
+                        .take(width)
+                        .map(ErrorCdf::from_samples)
+                        .collect()
+                })
+                .collect();
+            TimingCharacterization {
+                vdd: config.vdd,
+                width,
+                cycles_per_op: cycles,
+                cdfs,
+                sta_endpoint_delays_ps: sta.endpoint_delays().to_vec(),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -10,9 +10,11 @@
 //!   pessimistic fault-injection **model B**.
 //! * [`dta::DynamicTimingAnalysis`] computes *value-dependent* (sensitised)
 //!   arrival times for concrete input vectors, the "dynamic timing slack"
-//!   of the paper.
-//! * [`characterize::characterize_alu`] runs the DTA over a randomized
-//!   characterization kernel, independently for every ALU instruction, and
+//!   of the paper.  Its one kernel, [`dta::DtaBatch`], propagates eight
+//!   bit-sliced vectors at several supply voltages per pass.
+//! * [`characterize::characterize_alu_batch`] runs the DTA over a
+//!   randomized characterization kernel, independently for every ALU
+//!   instruction and at every requested voltage in one pass, and
 //!   condenses the per-endpoint arrival-time samples into timing-error
 //!   **CDFs** ([`cdf::ErrorCdf`] inside a
 //!   [`characterize::TimingCharacterization`]) — the data that drives the
@@ -61,10 +63,11 @@ pub use budget::{synthesis_node_multipliers, UnitBudgets};
 pub use calibrate::{calibrate_delay_model, calibrate_delay_model_with_multipliers};
 pub use cdf::ErrorCdf;
 pub use characterize::{
-    characterize_alu, characterize_alu_with_multipliers, CharacterizationConfig,
-    OperandDistribution, TimingCharacterization,
+    characterization_workers, characterize_alu, characterize_alu_batch,
+    characterize_alu_with_multipliers, CharacterizationConfig, OperandDistribution,
+    TimingCharacterization,
 };
-pub use dta::DynamicTimingAnalysis;
+pub use dta::{DtaBatch, DynamicTimingAnalysis};
 pub use noise::VoltageNoise;
 pub use sta::StaticTimingAnalysis;
 pub use units::{freq_mhz_to_period_ps, period_ps_to_freq_mhz};
